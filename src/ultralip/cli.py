@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 
+from .balltree import BallTree
 from .field import (
     FieldDescriptor,
     NormValue,
@@ -67,8 +68,18 @@ def _pair_witness(x: Point, y: Point, fx, fy) -> dict:
 
 def lipschitz_verdict(F: ExtendedFunction, samples: list[Point],
                       bound: NormValue = NORM_ONE,
-                      name: str = "one-lipschitz-on-samples") -> dict:
-    values = [F(x) for x in samples]
+                      name: str = "one-lipschitz-on-samples",
+                      values: list | None = None) -> dict:
+    """Whether |F(x) - F(y)| <= bound * |x - y| on the samples.
+
+    values, if given, are F at the samples.  The ball tree of the samples
+    decides; a failing verdict rescans the pairs in order, so its witness
+    is the first violating pair.
+    """
+    if values is None:
+        values = [F(x) for x in samples]
+    if BallTree(samples).lipschitz_ok(values, bound.exponent):
+        return _verdict(name, True)
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             dv = values[i].norm_of_difference(values[j])
@@ -104,13 +115,14 @@ def _run_extend_finite(inst: Instance, rng, window, count, epsilon):
     fn = inst.function
     F = extend_finite(fn)
     samples = _samples_for(rng, inst, list(fn.domain()), fn.n, window, count)
-    verdicts = [extension_verdict(F, fn),
-                lipschitz_verdict(F, samples)]
+    verdicts = [extension_verdict(F, fn)]
+    values = [F(x) for x in samples]
+    verdicts.append(lipschitz_verdict(F, samples, values=values))
     if fn.n == 2:
         nd = extend_finite_nd(fn)
         ok, witness = True, None
-        for x in samples[: max(10, count // 4)]:
-            a, b = F(x), nd(x)
+        for x, a in zip(samples[: max(10, count // 4)], values):
+            b = nd(x)
             if a != b:
                 ok, witness = False, _pair_witness(x, x, a, b)
                 break
@@ -119,10 +131,12 @@ def _run_extend_finite(inst: Instance, rng, window, count, epsilon):
         Feps = epsilon_pipeline(fn, epsilon)
         bound = NormValue.theta(-epsilon)
         verdicts.append(extension_verdict(Feps, fn, "epsilon-extends-data"))
+        values = [Feps(x) for x in samples]
         verdicts.append(lipschitz_verdict(Feps, samples, bound,
-                                          "epsilon-lipschitz-on-samples"))
+                                          "epsilon-lipschitz-on-samples",
+                                          values))
         F = Feps
-    return F, verdicts, samples
+    return F, verdicts, samples, values
 
 
 def _run_extend_cell(inst: Instance, rng, window, count):
@@ -149,16 +163,17 @@ def _run_extend_cell(inst: Instance, rng, window, count):
     verdicts = [_verdict("extends-members", ok, witness)]
 
     split = F.extras["split"]
+    values = [F(x) for x in samples]
     ok, witness = True, None
-    for x in samples:
-        a, b = F(x), split(x)
+    for x, a in zip(samples, values):
+        b = split(x)
         if a != b:
             ok, witness = False, _pair_witness(x, x, a, b)
             break
     verdicts.append(_verdict("split-route-agrees", ok, witness))
     verdicts.append(_verdict("configuration-preserved", True))
-    verdicts.append(lipschitz_verdict(F, samples))
-    return F, verdicts, samples
+    verdicts.append(lipschitz_verdict(F, samples, values=values))
+    return F, verdicts, samples, values
 
 
 def _run_extend_graphs(inst: Instance, rng, window, count):
@@ -184,10 +199,11 @@ def _run_extend_graphs(inst: Instance, rng, window, count):
                                   "expected": emit_element(v),
                                   "got": emit_element(got)}
             break
+    values = [F(x) for x in samples]
     verdicts = [_verdict("extends-graph-data", ok, witness),
                 _verdict("origin-reduction-vanishes", True),
-                lipschitz_verdict(F, samples)]
-    return F, verdicts, samples
+                lipschitz_verdict(F, samples, values=values)]
+    return F, verdicts, samples, values
 
 
 def _run_glue(inst: Instance, rng, window, count):
@@ -196,9 +212,10 @@ def _run_glue(inst: Instance, rng, window, count):
         F = glue_union(inst.parts)
         anchors = list(combined.domain())
         samples = _samples_for(rng, inst, anchors, combined.n, window, count)
-        verdicts = [extension_verdict(F, combined),
-                    lipschitz_verdict(F, samples)]
-        return F, verdicts, samples
+        verdicts = [extension_verdict(F, combined)]
+        values = [F(x) for x in samples]
+        verdicts.append(lipschitz_verdict(F, samples, values=values))
+        return F, verdicts, samples, values
 
     a, b_points = inst.glue_a, list(inst.glue_b)
     base = extend_finite(a)
@@ -230,8 +247,9 @@ def _run_glue(inst: Instance, rng, window, count):
             ok, witness = False, {"x": x.to_text()}
             break
     verdicts.append(_verdict("condition-routes-agree", ok, witness))
-    verdicts.append(lipschitz_verdict(F, samples))
-    return F, verdicts, samples
+    values = [F(x) for x in samples]
+    verdicts.append(lipschitz_verdict(F, samples, values=values))
+    return F, verdicts, samples, values
 
 
 def _run_skeleton(inst: Instance, rng, window, count):
@@ -264,8 +282,9 @@ def _run_skeleton(inst: Instance, rng, window, count):
 # Reports
 
 
-def _evaluate_samples(F: ExtendedFunction, samples: list[Point]) -> list[dict]:
-    return [{"x": x.to_text(), "value": emit_element(F(x))} for x in samples]
+def _sample_rows(samples: list[Point], values: list) -> list[dict]:
+    return [{"x": x.to_text(), "value": emit_element(v)}
+            for x, v in zip(samples, values)]
 
 
 def run_instance(inst: Instance, seed: int, count: int, window,
@@ -282,18 +301,21 @@ def run_instance(inst: Instance, seed: int, count: int, window,
             samples_out = []
         else:
             if inst.task == "extend-finite":
-                F, verdicts, samples = _run_extend_finite(
+                F, verdicts, samples, values = _run_extend_finite(
                     inst, rng, window, count, epsilon)
             elif inst.task == "extend-cell":
-                F, verdicts, samples = _run_extend_cell(inst, rng, window, count)
+                F, verdicts, samples, values = _run_extend_cell(
+                    inst, rng, window, count)
             elif inst.task == "extend-graphs":
-                F, verdicts, samples = _run_extend_graphs(inst, rng, window, count)
+                F, verdicts, samples, values = _run_extend_graphs(
+                    inst, rng, window, count)
             else:
-                F, verdicts, samples = _run_glue(inst, rng, window, count)
+                F, verdicts, samples, values = _run_glue(
+                    inst, rng, window, count)
             provenance = F.provenance
             report = {"extension": {"provenance": F.provenance,
                                     "description": F.description}}
-            samples_out = _evaluate_samples(F, samples)
+            samples_out = _sample_rows(samples, values)
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, PDivisibleCountWarning)]
     elapsed = (time.monotonic() - start) * 1000.0

@@ -29,6 +29,7 @@ from .geometry import (
     dist_to_cell,
     dist_to_points,
 )
+from .balltree import Ball, BallTree
 from .lipschitz import (
     FiniteFunction,
     require_one_lipschitz,
@@ -75,29 +76,15 @@ def ext_sum(a: ExtendedFunction, b: ExtendedFunction,
 # Nearest-point averaging (the line formula and its fiber version)
 
 
-# keyed by id with the dict itself retained, so ids cannot be recycled
-_SORTED_ITEMS_CACHE: dict[int, tuple[dict, list]] = {}
+class _NearestAverage:
+    """x -> the average of the values over the keys nearest to x."""
 
+    def __init__(self, data: dict):
+        self.values = list(data.values())
+        self.tree = BallTree(list(data))
 
-def _sorted_items(data: dict) -> list:
-    got = _SORTED_ITEMS_CACHE.get(id(data))
-    if got is not None and got[0] is data:
-        return got[1]
-    items = sorted(data.items(), key=lambda kv: kv[0].sort_key())
-    _SORTED_ITEMS_CACHE[id(data)] = (data, items)
-    return items
-
-
-def _nearest_key_average(data: dict, x, dist) -> FieldElement:
-    best = None
-    bucket = []
-    for k, v in _sorted_items(data):
-        d = dist(x, k)
-        if best is None or d < best:
-            best, bucket = d, [v]
-        elif d == best:
-            bucket.append(v)
-    return integer_average(bucket)
+    def __call__(self, x) -> FieldElement:
+        return integer_average([self.values[i] for i in self.tree.nearest(x)])
 
 
 def _sort_key(k):
@@ -109,24 +96,10 @@ def extend_finite_line(f: FiniteFunction) -> ExtendedFunction:
     if f.n != 1:
         raise ExtensionError("the line extension needs one variable")
     require_one_lipschitz(f)
-    data = {p.coords[0]: v for p, v in f.entries}
-    items = _sorted_items(data)
-
-    def evaluate(x: Point) -> FieldElement:
-        x0 = x.coords[0]
-        best = None
-        bucket = []
-        for k, v in items:
-            d = x0.norm_of_difference(k)
-            if best is None or d < best:
-                best, bucket = d, [v]
-            elif d == best:
-                bucket.append(v)
-        return integer_average(bucket)
-
+    average = _NearestAverage({p.coords[0]: v for p, v in f.entries})
     return ExtendedFunction(
-        1, f.field, "finite-line-average", evaluate,
-        description={"points": len(data)})
+        1, f.field, "finite-line-average", lambda x: average(x.coords[0]),
+        description={"points": len(average.values)})
 
 
 # ---------------------------------------------------------------------------
@@ -262,48 +235,7 @@ def glue_union(parts: Sequence[FiniteFunction],
 # The distance ladder over the first coordinate
 
 
-@dataclass(eq=False)
-class _Node:
-    members: tuple[int, ...]
-    scale: NormValue | None
-    children: tuple["_Node", ...]
-    rep: int
-
-
-def _build_ladder_tree(bases: list, dist) -> _Node:
-    nodes = [_Node((i,), None, (), i) for i in range(len(bases))]
-    if len(nodes) == 1:
-        return nodes[0]
-    scales = sorted({dist(bases[i], bases[j])
-                     for i in range(len(bases)) for j in range(i + 1, len(bases))})
-    for scale in scales:
-        grouped: list[list[_Node]] = []
-        for node in nodes:
-            for group in grouped:
-                if dist(bases[group[0].rep], bases[node.rep]) <= scale:
-                    group.append(node)
-                    break
-            else:
-                grouped.append([node])
-        next_nodes = []
-        for group in grouped:
-            if len(group) == 1:
-                next_nodes.append(group[0])
-                continue
-            members = tuple(sorted(m for g in group for m in g.members))
-            rep = min((bases[i] for i in members), key=_sort_key)
-            rep_idx = min(i for i in members if bases[i] == rep)
-            children = tuple(sorted(group, key=lambda nd: _sort_key(bases[nd.rep])))
-            next_nodes.append(_Node(members, scale, children, rep_idx))
-        nodes = next_nodes
-        if len(nodes) == 1:
-            break
-    assert len(nodes) == 1, "all pairwise scales must merge the base points"
-    return nodes[0]
-
-
-def _combine(privileged: dict, others: Sequence[dict], delta: NormValue,
-             dist) -> dict:
+def _combine(privileged: dict, others: Sequence[dict], delta: NormValue) -> dict:
     """Merge sibling fiber data around a privileged fiber at one scale.
 
     Privileged entries are kept verbatim; foreign points within the open
@@ -315,12 +247,12 @@ def _combine(privileged: dict, others: Sequence[dict], delta: NormValue,
     kept = []
     for data in others:
         for w in sorted(data, key=_sort_key):
-            if all(not dist(w, e) < delta for e in privileged):
+            if all(not w.norm_of_difference(e) < delta for e in privileged):
                 kept.append((w, data[w]))
     balls: list[tuple[list, list]] = []
     for w, val in kept:
         for pts, vals in balls:
-            if dist(w, pts[0]) < delta:
+            if w.norm_of_difference(pts[0]) < delta:
                 pts.append(w)
                 vals.append(val)
                 break
@@ -334,7 +266,7 @@ def _combine(privileged: dict, others: Sequence[dict], delta: NormValue,
 
 
 class _Ladder:
-    """Staged fiber data along the ultrametric tree of the base points.
+    """Staged fiber data along the ball tree of the base points.
 
     Every node carries a frozen combined fiber (its class data).  A stage
     piece is indexed by a parent node and one of its children: it applies
@@ -342,73 +274,78 @@ class _Ladder:
     scale and the fiber coordinate lies within the parent scale of the
     class grid.  Evaluation walks to the finest applicable piece; when no
     piece below the root applies, the root's frozen data decides, making
-    the value independent of the base coordinate far out.
+    the value independent of the base coordinate far out.  Each piece's
+    data is extended along the fiber once, by extend_fiber.
     """
 
-    def __init__(self, bases: list, fibers: list[dict], base_dist, fiber_dist):
-        self.bases = bases
+    def __init__(self, bases: list, fibers: list[dict], extend_fiber):
+        # bases are sorted by sort_key, so every node's center (its first
+        # member) is its rep: the member with the smallest sort_key
         self.fibers = fibers
-        self.base_dist = base_dist
-        self.fiber_dist = fiber_dist
-        self.tree = _build_ladder_tree(bases, base_dist)
+        self.extend_fiber = extend_fiber
+        self.tree = BallTree(bases)
         self._data: dict[int, dict] = {}
-        self._grid: dict[int, list] = {}
-        self._pieces: dict[tuple[int, int], dict] = {}
+        self._grid: dict[int, BallTree] = {}
+        self._pieces: dict[tuple, Callable] = {}
 
-    def _data_of(self, node: _Node) -> dict:
+    def _data_of(self, node: Ball) -> dict:
         got = self._data.get(id(node))
         if got is not None:
             return got
         if not node.children:
-            data = self.fibers[node.rep]
+            data = self.fibers[node.center]
         else:
-            priv = next(c for c in node.children if node.rep in c.members)
-            others = [self._data_of(c) for c in node.children if c is not priv]
-            data = _combine(self._data_of(priv), others, node.scale,
-                            self.fiber_dist)
+            children = list(node.children.values())
+            others = [self._data_of(c) for c in children[1:]]
+            data = _combine(self._data_of(children[0]), others,
+                            NormValue.theta(node.radius))
         self._data[id(node)] = data
         return data
 
-    def _grid_of(self, node: _Node) -> list:
+    def _grid_of(self, node: Ball) -> BallTree:
         got = self._grid.get(id(node))
         if got is None:
             keys = set()
             for i in node.members:
                 keys.update(self.fibers[i])
-            got = sorted(keys, key=_sort_key)
+            got = BallTree(sorted(keys, key=_sort_key))
             self._grid[id(node)] = got
         return got
 
-    def _dist_to_node(self, u, node: _Node) -> NormValue:
-        return min(self.base_dist(u, self.bases[i]) for i in node.members)
-
-    def view(self, u, v) -> dict:
+    def view(self, u, v) -> Callable:
+        """The fiber extension that answers at base u and fiber point v."""
         parent = None
-        current = self.tree
+        current = self.tree.root
         while current.children:
-            child = None
-            for c in current.children:
-                if self._dist_to_node(u, c) < current.scale:
-                    child = c
-                    break
+            child = self.tree.child_toward(current, u)
             if child is None:
                 break
-            near_grid = any(self.fiber_dist(v, w) < current.scale
-                            for w in self._grid_of(current))
-            if not near_grid:
+            _, d = self._grid_of(current).locate(v)
+            if not d > current.radius:
                 break
             parent, current = current, child
-        if parent is None:
-            return self._data_of(current)
         key = (id(parent), id(current))
         got = self._pieces.get(key)
         if got is None:
-            others = [self._data_of(c) for c in parent.children
-                      if c is not current]
-            got = _combine(self._data_of(current), others, parent.scale,
-                           self.fiber_dist)
+            if parent is None:
+                data = self._data_of(current)
+            else:
+                others = [self._data_of(c) for c in parent.children.values()
+                          if c is not current]
+                data = _combine(self._data_of(current), others,
+                                NormValue.theta(parent.radius))
+            got = self.extend_fiber(data)
             self._pieces[key] = got
         return got
+
+
+def _fiber_map(f: FiniteFunction, rest) -> tuple[list, list[dict]]:
+    """The base points in sort_key order and the fiber data over each."""
+    fiber_map: dict = {}
+    for p, v in f.entries:
+        fiber_map.setdefault(p.coords[0], {})[rest(p)] = v
+    bases = sorted(fiber_map, key=_sort_key)
+    return bases, [fiber_map[b] for b in bases]
 
 
 def extend_finite_plane_ladder(f: FiniteFunction) -> ExtendedFunction:
@@ -422,21 +359,14 @@ def extend_finite_plane_ladder(f: FiniteFunction) -> ExtendedFunction:
     if f.n != 2:
         raise ExtensionError("the plane ladder needs two variables")
     require_one_lipschitz(f)
-    field = f.field
-    fiber_map: dict[FieldElement, dict[FieldElement, FieldElement]] = {}
-    for p, v in f.entries:
-        fiber_map.setdefault(p.coords[0], {})[p.coords[1]] = v
-    bases = sorted(fiber_map, key=_sort_key)
-    fibers = [fiber_map[b] for b in bases]
-    elem_dist = lambda a, b: a.norm_of_difference(b)  # noqa: E731
-    ladder = _Ladder(bases, fibers, elem_dist, elem_dist)
+    bases, fibers = _fiber_map(f, lambda p: p.coords[1])
+    ladder = _Ladder(bases, fibers, _NearestAverage)
 
     def evaluate(x: Point) -> FieldElement:
-        data = ladder.view(x.coords[0], x.coords[1])
-        return _nearest_key_average(data, x.coords[1], elem_dist)
+        return ladder.view(x.coords[0], x.coords[1])(x.coords[1])
 
     return ExtendedFunction(
-        2, field, "plane-ladder", evaluate,
+        2, f.field, "plane-ladder", evaluate,
         description={"points": len(f.entries), "bases": len(bases)})
 
 
@@ -446,30 +376,20 @@ def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
     if f.n == 1:
         return extend_finite_line(f)
     require_one_lipschitz(f)
-    field = f.field
-    fiber_map: dict[FieldElement, dict[Point, FieldElement]] = {}
-    for p, v in f.entries:
-        rest = Point(p.coords[1:])
-        fiber_map.setdefault(p.coords[0], {})[rest] = v
-    bases = sorted(fiber_map, key=_sort_key)
-    fibers = [fiber_map[b] for b in bases]
-    elem_dist = lambda a, b: a.norm_of_difference(b)  # noqa: E731
-    ladder = _Ladder(bases, fibers, elem_dist,
-                     lambda a, b: a.norm_of_difference(b))
-    sub_cache: dict[int, tuple[dict, ExtendedFunction]] = {}
+    bases, fibers = _fiber_map(f, lambda p: Point(p.coords[1:]))
+
+    def extend_fiber(data: dict) -> Callable:
+        entries = tuple(sorted(data.items(), key=lambda kv: kv[0].sort_key()))
+        return extend_finite_nd(FiniteFunction(f.n - 1, entries)).evaluator
+
+    ladder = _Ladder(bases, fibers, extend_fiber)
 
     def evaluate(x: Point) -> FieldElement:
         rest = Point(x.coords[1:])
-        data = ladder.view(x.coords[0], rest)
-        got = sub_cache.get(id(data))
-        if got is None or got[0] is not data:
-            entries = tuple(sorted(data.items(), key=lambda kv: kv[0].sort_key()))
-            got = (data, extend_finite_nd(FiniteFunction(f.n - 1, entries)))
-            sub_cache[id(data)] = got
-        return got[1].evaluator(rest)
+        return ladder.view(x.coords[0], rest)(rest)
 
     return ExtendedFunction(
-        f.n, field, "nd-ladder", evaluate,
+        f.n, f.field, "nd-ladder", evaluate,
         description={"points": len(f.entries), "bases": len(bases)})
 
 
@@ -515,10 +435,8 @@ def extend_cell_risometry_line(cells: Sequence[Cell1D],
                 return q
         return None
 
-    def skeleton_average(x: FieldElement) -> FieldElement:
-        data = {p: transport.map_point(p) for p in skel_points}
-        return _nearest_key_average(data, x,
-                                    lambda a, b: a.norm_of_difference(b))
+    skeleton_average = _NearestAverage(
+        {p: transport.map_point(p) for p in skel_points})
 
     def evaluate(x: Point) -> FieldElement:
         v = tilde(x.coords[0])
@@ -649,8 +567,7 @@ def _fiberwise(family: GraphFamily, value_fn) -> ExtendedFunction:
                 data = {}
                 for bi, br in enumerate(family.branches[ci]):
                     data[br.phi(x1)] = value_fn(ci, bi, x1)
-                return _nearest_key_average(
-                    data, x2, lambda a, b: a.norm_of_difference(b))
+                return _NearestAverage(data)(x2)
         return field.zero()
 
     return ExtendedFunction(2, field, "graph-fiberwise", evaluate,
@@ -695,7 +612,9 @@ def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
     origin_fun = FiniteFunction(2, tuple((o, e) for o, e in olist))
     g = extend_finite_nd(origin_fun)
     for o, e in olist:
-        assert (e - g(o)).is_zero
+        if g(o) != e:
+            raise ExtensionError(
+                f"the origin extension misses the value at {o}")
 
     def reduced_value(ci, bi, x1):
         br = family.branches[ci][bi]

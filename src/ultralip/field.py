@@ -258,7 +258,8 @@ def _padic_residue(u: Fraction, p: int) -> int:
 # Fraction entries, sorted by exponent, all coefficients nonzero.
 Poly = tuple[tuple[Fraction, Fraction], ...]
 
-_ONE_POLY: Poly = ((Q(0), Q(1)),)
+_ZERO = Q(0)
+_ONE_POLY: Poly = ((_ZERO, Q(1)),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -588,9 +589,38 @@ class FieldElement:
                                                 f.prime))) \
                 if self.rational != other.rational else NormValue.zero()
         if self.den == other.den:
-            e = _first_diff_exponent(self.num, other.num)
-            return NormValue.zero() if e is None else NormValue(e)
+            got = _first_diff_term(self.num, other.num)
+            return NormValue.zero() if got is None else NormValue(got[0])
         return (self - other).norm()
+
+    def lead_of_difference(self, other: "FieldElement") -> tuple:
+        """The leading term of self - other as (exponent, residue).
+
+        The exponent is the raw valuation, math.inf for a zero difference.
+        The residue is the leading coefficient, reduced to its digit mod p
+        on the p-adic backend, so two differences with one exponent e have
+        the same residue iff they differ by an element of norm below
+        theta(e).  Integral values come as ints, which compare and hash
+        faster than Fractions.  Same-denominator operands take the
+        norm_of_difference term scan.
+        """
+        self._check(other)
+        f = self.field
+        if not f.is_series:
+            d = self.rational - other.rational
+            return _padic_lead(d, f.prime) if d else (math.inf, None)
+        if self.den == other.den:
+            got = _first_diff_term(self.num, other.num)
+            if got is None:
+                return math.inf, None
+            e, ca, cb = got
+            c = ca - cb
+        elif self == other:
+            return math.inf, None
+        else:
+            e, c = (self - other).num[0]  # den is canonical: order 0, lead 1
+        return (e.numerator if e.denominator == 1 else e,
+                c.numerator if c.denominator == 1 else c)
 
     # -- text form -------------------------------------------------------------
 
@@ -615,23 +645,21 @@ class FieldElement:
         return head + (self.rational,)
 
 
-def _first_diff_exponent(a: Poly, b: Poly) -> Fraction | None:
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ea, ca = a[i]
-        eb, cb = b[j]
+def _first_diff_term(a: Poly, b: Poly):
+    """The lowest term where a and b differ, as (exponent, coefficient in
+    a, coefficient in b) with 0 for a missing term; None if a == b."""
+    for (ea, ca), (eb, cb) in zip(a, b):
         if ea < eb:
-            return ea
+            return ea, ca, _ZERO
         if eb < ea:
-            return eb
+            return eb, _ZERO, cb
         if ca != cb:
-            return ea
-        i += 1
-        j += 1
-    if i < len(a):
-        return a[i][0]
-    if j < len(b):
-        return b[j][0]
+            return ea, ca, cb
+    k = min(len(a), len(b))
+    if len(a) > k:
+        return a[k][0], a[k][1], _ZERO
+    if len(b) > k:
+        return b[k][0], _ZERO, b[k][1]
     return None
 
 
@@ -642,6 +670,19 @@ def _terms_text(p: Poly) -> str:
         es = str(e.numerator) if e.denominator == 1 else f"({e.numerator}/{e.denominator})"
         parts.append(f"{cs}*t^{es}")
     return " + ".join(parts)
+
+
+def _padic_lead(q: Fraction, p: int) -> tuple[int, int]:
+    """The valuation of a nonzero rational and the digit mod p of its unit."""
+    n, d = q.numerator, q.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v, n * pow(d, -1, p) % p
 
 
 def _padic_valuation(q: Fraction, p: int) -> int:
