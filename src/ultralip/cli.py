@@ -13,6 +13,7 @@ import random
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 from .balltree import BallTree
 from .field import (
@@ -43,8 +44,11 @@ from .serialize import (
     Instance,
     InstanceError,
     emit_element,
+    emit_instance,
+    emit_rational,
     emit_skeleton,
     parse_instance,
+    parse_point,
     parse_rational,
 )
 from .skeleton import build_skeleton, check_skeleton
@@ -287,11 +291,14 @@ def _sample_rows(samples: list[Point], values: list) -> list[dict]:
             for x, v in zip(samples, values)]
 
 
-def run_instance(inst: Instance, seed: int, count: int, window,
-                 epsilon) -> dict:
+def _replay(inst: Instance, seed: int, count: int, window,
+            epsilon) -> tuple[dict, ExtendedFunction | None]:
+    """The report of one construction command, and its F (None for
+    skeleton tasks; Feps when epsilon is given)."""
     rng = random.Random(seed * 9176 + 11)
     start = time.monotonic()
     caught: list[str] = []
+    F = None
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", PDivisibleCountWarning)
         if inst.task == "skeleton":
@@ -319,7 +326,6 @@ def run_instance(inst: Instance, seed: int, count: int, window,
         caught = [str(w.message) for w in wlist
                   if issubclass(w.category, PDivisibleCountWarning)]
     elapsed = (time.monotonic() - start) * 1000.0
-    from .serialize import emit_instance
     report.update({
         "task": inst.task,
         "provenance": provenance,
@@ -329,8 +335,16 @@ def run_instance(inst: Instance, seed: int, count: int, window,
         "timing_ms": round(elapsed, 3),
         "instance": emit_instance(inst),
         "seed": seed,
+        "sample_count": count,
+        "window": list(window),
+        "epsilon": None if epsilon is None else emit_rational(epsilon),
     })
-    return report
+    return report, F
+
+
+def run_instance(inst: Instance, seed: int, count: int, window,
+                 epsilon) -> dict:
+    return _replay(inst, seed, count, window, epsilon)[0]
 
 
 def construct_extension(inst: Instance) -> ExtendedFunction:
@@ -348,24 +362,86 @@ def construct_extension(inst: Instance) -> ExtendedFunction:
     raise InstanceError("$.task", f"{inst.task!r} has no extension to verify")
 
 
+def _positive_rational(s, path: str) -> Fraction:
+    q = parse_rational(s, path)
+    if q <= 0:
+        raise InstanceError(path, "must be positive")
+    return q
+
+
+def _int_at(obj, path: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise InstanceError(path, "expected an integer")
+    return obj
+
+
+def _count_at(obj, path: str) -> int:
+    if _int_at(obj, path) < 0:
+        raise InstanceError(path, "must not be negative")
+    return obj
+
+
+def _window_at(obj, path: str) -> tuple[int, int]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise InstanceError(path, "expected [lo, hi]")
+    lo, hi = (_int_at(v, f"{path}[{i}]") for i, v in enumerate(obj))
+    if lo > hi:
+        raise InstanceError(path, "lo exceeds hi")
+    return lo, hi
+
+
+def _recorded_parameters(report_in: dict, seed: int, count: int, window,
+                         epsilon) -> tuple:
+    """The parameters the report was made with; a flag stands in for a
+    value the report does not record (reports of older versions)."""
+    def recorded(key, flag, parse):
+        return parse(report_in[key], f"$.{key}") if key in report_in else flag
+
+    return (recorded("seed", seed, _int_at),
+            recorded("sample_count", count, _count_at),
+            recorded("window", window, _window_at),
+            recorded("epsilon", epsilon, lambda v, path: None if v is None
+                     else _positive_rational(v, path)))
+
+
+def _samples_reproduce(inst: Instance, F: ExtendedFunction | None,
+                       stored, fresh: list[dict]) -> dict:
+    """Whether every stored sample row holds F's value at its x.
+
+    A stored row is compared with the fresh row at the same position
+    when their x texts agree (same seed and count give the same points);
+    F is evaluated only at stored points with no such twin.
+    """
+    if not isinstance(stored, list):
+        raise InstanceError("$.samples", "expected a list of sample rows")
+    for i, s in enumerate(stored):
+        path = f"$.samples[{i}]"
+        if not isinstance(s, dict) or "x" not in s or "value" not in s:
+            raise InstanceError(path, "expected {'x': [...], 'value': ...}")
+        if i < len(fresh) and fresh[i]["x"] == s["x"]:
+            got = fresh[i]["value"]
+        elif F is None:
+            raise InstanceError(path, f"a {inst.task} report has no samples")
+        else:
+            got = emit_element(F(parse_point(inst.field, s["x"], F.n,
+                                             f"{path}.x")))
+        if got != s["value"]:
+            return _verdict("samples-reproduce", False,
+                            {"x": s["x"], "stored": s["value"],
+                             "recomputed": got})
+    return _verdict("samples-reproduce", True)
+
+
 def run_verify(report_in: dict, seed: int, count: int, window, epsilon) -> dict:
+    """Replay the report's command once from its embedded instance and
+    recorded parameters, then check its stored samples against F."""
+    if not isinstance(report_in, dict):
+        raise InstanceError("$", "a report must be a JSON object")
     inst = parse_instance(report_in.get("instance"))
-    fresh = run_instance(inst, report_in.get("seed", seed), count, window, epsilon)
-    verdicts = list(fresh["verdicts"])
-    stored = report_in.get("samples", [])
-    ok, witness = True, None
-    if stored and inst.task != "skeleton":
-        F = construct_extension(inst)
-        from .serialize import parse_point
-        for i, s in enumerate(stored):
-            x = parse_point(inst.field, s["x"], F.n, f"$.samples[{i}].x")
-            got = emit_element(F(x))
-            if got != s["value"]:
-                ok, witness = False, {"x": s["x"], "stored": s["value"],
-                                      "recomputed": got}
-                break
-    verdicts.append(_verdict("samples-reproduce", ok, witness))
-    fresh["verdicts"] = verdicts
+    fresh, F = _replay(inst, *_recorded_parameters(report_in, seed, count,
+                                                   window, epsilon))
+    fresh["verdicts"].append(_samples_reproduce(
+        inst, F, report_in.get("samples", []), fresh["samples"]))
     fresh["task"] = "verify"
     return fresh
 
@@ -374,14 +450,31 @@ def run_verify(report_in: dict, seed: int, count: int, window, epsilon) -> dict:
 # Entry point
 
 
-def _parse_window(s: str) -> tuple[int, int]:
+def _window_arg(s: str) -> tuple[int, int]:
     try:
         lo, hi = (int(part) for part in s.split(","))
     except ValueError:
-        raise SystemExit(f"bad --window {s!r}; expected lo,hi")
+        raise argparse.ArgumentTypeError(f"expected lo,hi, got {s!r}")
     if lo > hi:
-        raise SystemExit(f"bad --window {s!r}; lo exceeds hi")
+        raise argparse.ArgumentTypeError(f"lo exceeds hi in {s!r}")
     return lo, hi
+
+
+def _epsilon_arg(s: str) -> Fraction:
+    try:
+        return _positive_rational(s, repr(s))
+    except InstanceError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
+def _attach_window(argv: list[str]) -> list[str]:
+    """Join `--window lo,hi` into one word: argparse takes a value such
+    as -3,3 that begins with '-' for an option."""
+    out, words = [], iter(argv)
+    for word in words:
+        out.append(f"--window={next(words, '')}" if word == "--window"
+                   else word)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=60,
                    help="number of pseudo-random verification points")
-    p.add_argument("--window", default="-6,6",
+    p.add_argument("--window", type=_window_arg, default="-6,6",
                    help="exponent window lo,hi for sampling and generation")
-    p.add_argument("--epsilon", default=None,
+    p.add_argument("--epsilon", type=_epsilon_arg, default=None,
                    help="rational q > 0: also run the theta(-q) scaling pipeline")
     p.add_argument("--profile", choices=PROFILES, default="finite-line",
                    help="instance profile for generate")
@@ -428,20 +521,18 @@ def _write_output(path: str | None, payload: dict):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    window = _parse_window(args.window)
-    epsilon = None
-    if args.epsilon is not None:
-        epsilon = parse_rational(args.epsilon, "--epsilon")
-        if epsilon <= 0:
-            print("--epsilon must be positive", file=sys.stderr)
-            return 2
-
+    args = build_parser().parse_args(
+        _attach_window(sys.argv[1:] if argv is None else argv))
+    window, epsilon = args.window, args.epsilon
     try:
         if args.command == "generate":
             field = FieldDescriptor(args.field, args.prime)
-            payload = generate(args.seed, args.profile, field,
-                               args.size, window)
+            try:
+                payload = generate(args.seed, args.profile, field,
+                                   args.size, window)
+            except RuntimeError as e:  # no sound instance within its tries
+                print(f"generate gave up: {e}", file=sys.stderr)
+                return 2
             _write_output(args.output, payload)
             return 0
 

@@ -171,23 +171,32 @@ def emit_cut(c: CutValue) -> dict:
 def parse_box(field: FieldDescriptor, obj, path="box") -> RVBox:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InstanceError(path, "expected {'exact': ...} or {'annulus': ...}")
-    if "exact" in obj:
-        body = obj["exact"]
+    kind, body = next(iter(obj.items()))
+    if kind not in ("exact", "annulus"):
+        raise InstanceError(path, f"unknown box kind {kind!r}")
+    if not isinstance(body, dict):
+        raise InstanceError(f"{path}.{kind}", "expected an object")
+    if kind == "exact":
         if body.get("ord") is None:
             return ExactBox(RVValue.zero())
         exp = parse_rational(body["ord"], f"{path}.ord")
         unit = parse_rational(body.get("unit", 1), f"{path}.unit")
-        return ExactBox(RVValue(
-            field.check_exponent(exp), unit,
-            field.prime if field.mixed_characteristic else None))
-    if "annulus" in obj:
-        body = obj["annulus"]
-        unit = body.get("unit")
-        return AnnulusBox(
-            parse_cut(body["lower"], f"{path}.lower"),
-            parse_cut(body["upper"], f"{path}.upper"),
-            None if unit is None else parse_rational(unit, f"{path}.unit"))
-    raise InstanceError(path, f"unknown box kind {list(obj)!r}")
+        try:
+            return ExactBox(RVValue(
+                field.check_exponent(exp), unit,
+                field.prime if field.mixed_characteristic else None))
+        except ValueError as e:
+            raise InstanceError(path, str(e))
+    if "lower" not in body or "upper" not in body:
+        raise InstanceError(f"{path}.annulus", "expected 'lower' and 'upper'")
+    lower = parse_cut(body["lower"], f"{path}.lower")
+    upper = parse_cut(body["upper"], f"{path}.upper")
+    unit = body.get("unit")
+    unit = None if unit is None else parse_rational(unit, f"{path}.unit")
+    try:
+        return AnnulusBox(lower, upper, unit)
+    except ValueError as e:
+        raise InstanceError(path, str(e))
 
 
 def emit_box(b: RVBox) -> dict:
@@ -206,6 +215,8 @@ def parse_cell(field: FieldDescriptor, obj, path="cell") -> Cell1D:
     if not isinstance(obj, dict) or "center" not in obj or "boxes" not in obj:
         raise InstanceError(path, "expected {'center': ..., 'boxes': [...]}")
     center = parse_element(field, obj["center"], f"{path}.center")
+    if not isinstance(obj["boxes"], list):
+        raise InstanceError(f"{path}.boxes", "expected a list of boxes")
     boxes = tuple(parse_box(field, b, f"{path}.boxes[{i}]")
                   for i, b in enumerate(obj["boxes"]))
     try:
@@ -270,8 +281,13 @@ def parse_finite_function(field: FieldDescriptor, obj,
     n = obj["n"]
     if not isinstance(n, int) or n < 1:
         raise InstanceError(f"{path}.n", "domain dimension must be a positive int")
+    if not isinstance(obj["entries"], list) or not obj["entries"]:
+        raise InstanceError(f"{path}.entries", "expected a nonempty list")
     entries = []
     for i, ent in enumerate(obj["entries"]):
+        if not isinstance(ent, dict):
+            raise InstanceError(f"{path}.entries[{i}]",
+                                "expected {'x': [...], 'fx': ...}")
         p = parse_point(field, ent.get("x"), n, f"{path}.entries[{i}].x")
         v = parse_element(field, ent.get("fx"), f"{path}.entries[{i}].fx")
         entries.append((p, v))
@@ -301,8 +317,12 @@ def emit_skeleton(s: Skeleton, cells) -> dict:
 def parse_field(obj, path="field") -> FieldDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InstanceError(path, "expected {'kind': ..., 'prime': ...?}")
+    prime = obj.get("prime")
+    if prime is not None and (not isinstance(prime, int)
+                              or isinstance(prime, bool)):
+        raise InstanceError(f"{path}.prime", "expected an integer")
     try:
-        return FieldDescriptor(obj["kind"], obj.get("prime"))
+        return FieldDescriptor(obj["kind"], prime)
     except ValueError as e:
         raise InstanceError(f"{path}.kind", str(e))
 
@@ -319,6 +339,14 @@ def emit_field(f: FieldDescriptor) -> dict:
 
 
 TASKS = ("extend-finite", "extend-cell", "extend-graphs", "glue", "skeleton")
+_BRANCH_KEYS = ("phi_slope", "phi_intercept", "value_slope", "value_intercept")
+
+
+def _elements_of(field: FieldDescriptor, obj, keys, path) -> list[FieldElement]:
+    """The elements stored under keys in one JSON object."""
+    if not isinstance(obj, dict):
+        raise InstanceError(path, f"expected an object with {', '.join(keys)}")
+    return [parse_element(field, obj.get(k), f"{path}.{k}") for k in keys]
 
 
 @dataclass(frozen=True)
@@ -366,8 +394,8 @@ def parse_instance(data) -> Instance:
             if not isinstance(pieces_obj, list) or len(pieces_obj) != len(cells):
                 raise InstanceError("$.pieces", "expected one piece per cell")
             pieces = tuple(
-                (parse_element(field, p.get("slope"), f"$.pieces[{i}].slope"),
-                 parse_element(field, p.get("intercept"), f"$.pieces[{i}].intercept"))
+                tuple(_elements_of(field, p, ("slope", "intercept"),
+                                   f"$.pieces[{i}]"))
                 for i, p in enumerate(pieces_obj))
         return Instance(task, field, cells=cells, pieces=pieces, raw=data)
 
@@ -382,18 +410,12 @@ def parse_instance(data) -> Instance:
             raise InstanceError("$.branches", "expected one branch list per cell")
         branches = []
         for i, brs in enumerate(branches_obj):
-            row = []
-            for j, br in enumerate(brs):
-                path = f"$.branches[{i}][{j}]"
-                row.append(GraphBranch(
-                    parse_element(field, br.get("phi_slope"), f"{path}.phi_slope"),
-                    parse_element(field, br.get("phi_intercept"),
-                                  f"{path}.phi_intercept"),
-                    parse_element(field, br.get("value_slope"),
-                                  f"{path}.value_slope"),
-                    parse_element(field, br.get("value_intercept"),
-                                  f"{path}.value_intercept")))
-            branches.append(tuple(row))
+            if not isinstance(brs, list):
+                raise InstanceError(f"$.branches[{i}]", "expected a list of branches")
+            branches.append(tuple(
+                GraphBranch(*_elements_of(field, br, _BRANCH_KEYS,
+                                          f"$.branches[{i}][{j}]"))
+                for j, br in enumerate(brs)))
         try:
             family = GraphFamily(cells, tuple(branches))
         except ValueError as e:

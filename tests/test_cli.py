@@ -1,20 +1,36 @@
 """Serialization round-trips, generator soundness, CLI contracts."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import random
+import tempfile
+import warnings
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ultralip.cli import main, run_instance
+from ultralip.extension import ExtendedFunction
 from ultralip.field import FieldDescriptor, NormValue
-from ultralip.generate import PROFILES, generate, sample_points
+from ultralip.generate import (
+    PROFILES,
+    generate,
+    generate_instance,
+    generate_vanishing_pair,
+    sample_points,
+)
 from ultralip.geometry import cells_intersect
-from ultralip.lipschitz import is_lipschitz
+from ultralip.lipschitz import FiniteFunction, is_lipschitz
 from ultralip.serialize import (
+    Instance,
     InstanceError,
     emit_element,
     emit_instance,
+    emit_rational,
     parse_element,
     parse_instance,
 )
@@ -210,3 +226,221 @@ def test_cellnd_round_trip():
 def test_generate_singleton_profile():
     inst = parse_instance(json.dumps(generate(3, "finite-line", size=1)))
     assert len(inst.function.entries) == 1
+
+
+# -- verify replays the recorded command once ------------------------------------
+
+
+def _report(tmp_path, payload, command, *flags):
+    inst_path = _write(tmp_path, "inst.json", payload)
+    out_path = str(tmp_path / "report.json")
+    rc = main([command, "-i", inst_path, "-o", out_path, *flags])
+    return rc, out_path
+
+
+def _verify(tmp_path, report, *flags):
+    out_path = str(tmp_path / "verify.json")
+    rc = main(["verify", "-i", _write(tmp_path, "in.json", report),
+               "-o", out_path, *flags])
+    return rc, json.loads(open(out_path).read())
+
+
+def _samples_verdict(vr):
+    return next(v for v in vr["verdicts"] if v["name"] == "samples-reproduce")
+
+
+@pytest.mark.parametrize("field,q", [(T, "1"), (PX, "1/2")])
+def test_epsilon_report_round_trip(tmp_path, field, q):
+    payload = generate(2, "finite-line", field)
+    rc, out_path = _report(tmp_path, payload, "extend-finite",
+                           "--epsilon", q, "--samples", "15",
+                           "--window", "-4,4")
+    assert rc == 0
+    report = json.loads(open(out_path).read())
+    assert (report["epsilon"], report["window"], report["sample_count"]) \
+        == (emit_rational(Q(q)), [-4, 4], 15)
+    # no flags: every parameter comes from the report
+    rc, vr = _verify(tmp_path, report)
+    assert rc == 0 and _samples_verdict(vr)["pass"]
+    assert vr["samples"] == report["samples"]
+
+
+def _call_counter(monkeypatch):
+    calls = [0]
+    inner = ExtendedFunction.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return inner(self, x)
+
+    monkeypatch.setattr(ExtendedFunction, "__call__", counted)
+    return calls
+
+
+def _union_payload():
+    entries = list(generate_instance(4, "finite-line", T, 8).function.entries)
+    parts = tuple(FiniteFunction(1, tuple(entries[i::3])) for i in range(3))
+    return emit_instance(Instance("glue", T, parts=parts))
+
+
+@pytest.mark.parametrize("kind", ["cell", "graphs", "glue-vanishing",
+                                  "glue-union", "epsilon"])
+def test_verify_evaluates_as_often_as_its_command(tmp_path, monkeypatch, kind):
+    command, payload, flags = {
+        "cell": ("extend-cell", lambda: generate(5, "cells-line"), ()),
+        "graphs": ("extend-graphs", lambda: generate(5, "graphs"), ()),
+        "glue-vanishing": ("glue", lambda: emit_instance(
+            generate_vanishing_pair(5, T, n=1, a_size=5, b_size=3)), ()),
+        "glue-union": ("glue", _union_payload, ()),
+        "epsilon": ("extend-finite", lambda: generate(5, "finite-line"),
+                    ("--epsilon", "1")),
+    }[kind]
+    calls = _call_counter(monkeypatch)
+    rc, out_path = _report(tmp_path, payload(), command, "--samples", "12",
+                           *flags)
+    assert rc == 0
+    built = calls[0]
+    report = json.loads(open(out_path).read())
+    for _ in range(2):
+        calls[0] = 0
+        rc, _vr = _verify(tmp_path, report)
+        assert rc == 0 and calls[0] == built > 0
+
+
+def test_verify_recomputes_a_stored_point_with_no_twin(tmp_path, monkeypatch):
+    calls = _call_counter(monkeypatch)
+    rc, out_path = _report(tmp_path, generate(9, "finite-line"),
+                           "extend-finite", "--samples", "10")
+    built = calls[0]
+    report = json.loads(open(out_path).read())
+    rows = report["samples"]
+    i, j = next((i, j) for i in range(len(rows)) for j in range(len(rows))
+                if rows[i]["value"] != rows[j]["value"])
+    rows[i]["x"] = rows[j]["x"]
+    calls[0] = 0
+    rc, vr = _verify(tmp_path, report)
+    assert rc == 1 and calls[0] > built
+    assert _samples_verdict(vr)["witness"] == {
+        "x": rows[j]["x"], "stored": rows[i]["value"],
+        "recomputed": rows[j]["value"]}
+
+
+def test_verify_falls_back_to_flags_for_older_reports(tmp_path):
+    rc, out_path = _report(tmp_path, generate(6, "finite-line"),
+                           "extend-finite", "--samples", "10")
+    report = json.loads(open(out_path).read())
+    for key in ("sample_count", "window", "epsilon"):
+        del report[key]
+    rc, vr = _verify(tmp_path, report, "--samples", "14")
+    assert rc == 0 and _samples_verdict(vr)["pass"]
+    assert vr["sample_count"] == 14
+    assert len(vr["samples"]) > len(report["samples"])
+
+
+def test_window_space_form_and_bad_flags(tmp_path):
+    payload = generate(3, "finite-line")
+    rc, out_path = _report(tmp_path, payload, "extend-finite",
+                           "--window", "-3,3", "--samples", "5")
+    assert rc == 0
+    assert json.loads(open(out_path).read())["window"] == [-3, 3]
+    for flag, bad in (("--window", "3,-3"), ("--window", "x"),
+                      ("--epsilon", "abc"), ("--epsilon", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["extend-finite", "-i", str(tmp_path / "inst.json"),
+                  flag, bad])
+        assert exc.value.code == 2
+
+
+# -- malformed input exits 2 --------------------------------------------------------
+
+
+def _mutate(payload, where, kind, junk):
+    key = where[-1]
+    parent = payload
+    for k in where[:-1]:
+        parent = parent[k]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "empty":
+        parent[key] = [] if isinstance(parent[key], list) else {}
+    else:
+        parent[key] = copy.deepcopy(junk)
+
+
+def _locations(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _locations(v, prefix + (k,))
+
+
+def _fuzz_bases():
+    """(payload, command) pairs: instances of every task, and a report."""
+    instances = [generate(1, profile, field, 3)
+                 for field in (T, P3) for profile in PROFILES]
+    skel = generate(1, "cells-line", P3, 3)
+    skel["task"] = "skeleton"
+    del skel["pieces"]
+    instances += [skel, _union_payload(),
+                  emit_instance(generate_vanishing_pair(1, T))]
+    report = run_instance(parse_instance(instances[0]), 1, 4, (-4, 4), Q(1))
+    return [(p, p["task"]) for p in instances] + [(report, "verify")]
+
+
+_BASES = _fuzz_bases()
+_JUNK = (None, 0, -1, True, "x", 1.5, [], {}, [0], {"x": 0})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_payloads_exit_cleanly(data):
+    payload, command = data.draw(st.sampled_from(_BASES))
+    payload = copy.deepcopy(payload)
+    for _ in range(data.draw(st.integers(1, 3))):
+        places = list(_locations(payload))
+        if not places:
+            break
+        where = data.draw(st.sampled_from(places))
+        kind = data.draw(st.sampled_from(("drop", "retype", "empty")))
+        _mutate(payload, where, kind, data.draw(st.sampled_from(_JUNK)))
+    if command != "verify":
+        try:
+            parse_instance(json.dumps(payload))
+        except InstanceError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main([command, "-i", path, "-o", os.path.join(tmp, "out.json"),
+                       "--samples", "4"])
+    assert rc in (0, 1, 2)
+
+
+@pytest.mark.parametrize("mutation", ["entries-int", "prime-text",
+                                      "entries-empty", "box-int"])
+def test_malformed_instances_exit_2(tmp_path, mutation):
+    payload = generate(3, "cells-line" if mutation == "box-int"
+                       else "finite-line")
+    if mutation == "entries-int":
+        payload["function"]["entries"] = [5]
+    elif mutation == "prime-text":
+        payload["field"] = {"kind": "p-adic", "prime": "3"}
+    elif mutation == "entries-empty":
+        payload["function"]["entries"] = []
+    else:
+        payload["cells"][0]["boxes"][0] = {"exact": 7}
+    with pytest.raises(InstanceError):
+        parse_instance(json.dumps(payload))
+    assert _report(tmp_path, payload, payload["task"])[0] == 2
+
+
+def test_generate_giving_up_exits_2(tmp_path):
+    # the window [0, 0] holds seven t-adic elements (0 and six constants),
+    # fewer than the eight distinct points asked for
+    assert main(["generate", "--window", "0,0", "--size", "8",
+                 "-o", str(tmp_path / "i.json")]) == 2
