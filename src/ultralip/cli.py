@@ -17,13 +17,14 @@ from fractions import Fraction
 
 from .balltree import BallTree
 from .field import (
+    NORM_ONE,
     FieldDescriptor,
     NormValue,
     PDivisibleCountWarning,
     Point,
 )
 from .geometry import cell_member
-from .lipschitz import FiniteFunction, NotLipschitzError
+from .lipschitz import FiniteFunction, NotLipschitzError, first_violation
 from .extension import (
     ExtendedFunction,
     ExtensionError,
@@ -53,7 +54,6 @@ from .serialize import (
 )
 from .skeleton import build_skeleton, check_skeleton
 
-NORM_ONE = NormValue.theta(0)
 COMMANDS = ("extend-finite", "extend-cell", "extend-graphs", "glue",
             "skeleton", "verify", "generate")
 
@@ -84,15 +84,11 @@ def lipschitz_verdict(F: ExtendedFunction, samples: list[Point],
         values = [F(x) for x in samples]
     if BallTree(samples).lipschitz_ok(values, bound.exponent):
         return _verdict(name, True)
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            dv = values[i].norm_of_difference(values[j])
-            dx = samples[i].norm_of_difference(samples[j])
-            if dv > bound * dx:
-                return _verdict(name, False,
-                                _pair_witness(samples[i], samples[j],
-                                              values[i], values[j]))
-    return _verdict(name, True)
+    violation = first_violation(list(zip(samples, values)), bound)
+    if violation is None:
+        return _verdict(name, True)
+    (x, fx), (y, fy) = violation
+    return _verdict(name, False, _pair_witness(x, y, fx, fy))
 
 
 def extension_verdict(F: ExtendedFunction, fn: FiniteFunction,

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .field import (
+    NORM_ONE,
     CutValue,
     FieldDescriptor,
     FieldElement,
@@ -37,8 +38,6 @@ from .lipschitz import (
     restore_value,
 )
 from .skeleton import affine_image_cell, build_skeleton, transport_skeleton
-
-NORM_ONE = NormValue.theta(0)
 
 
 class ExtensionError(ValueError):

@@ -49,18 +49,34 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # the first pseudoprime to all bases
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first 13 prime bases; exact below
+    _MR_LIMIT, and a larger n raises ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, not for {n}")
     if n < 2:
         return False
-    if n < 4:
+    if n in _MR_BASES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _MR_BASES):
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,18 +1,20 @@
 """Seeded generation of valid instances and of verification samples.
 
-Values on finite domains are assigned hierarchically over the ultrametric
-ball tree of the points: one value per cluster, perturbed within a
-cluster by elements bounded by the cluster diameter.  That makes the data
-1-Lipschitz by construction, but every emitted instance is still checked
-by the independent checkers and regenerated under a chained sub-seed if a
-check fails.  All randomness flows from the seed.
+Values on finite domains are assigned down the ultrametric ball tree of
+the points: one value per ball, perturbed in each child ball by an
+element bounded by the ball's diameter.  That makes the data 1-Lipschitz
+by construction, but every emitted instance is still checked by the
+independent pair-scan checker and regenerated under a chained sub-seed
+if a check fails.  All randomness flows from the seed.
 """
 
 from __future__ import annotations
 
 import random
 
+from .balltree import BallTree
 from .field import (
+    NORM_ONE,
     CutValue,
     FieldDescriptor,
     FieldElement,
@@ -26,8 +28,6 @@ from .extension import GraphBranch, GraphFamily
 from .serialize import Instance, emit_instance
 
 PROFILES = ("finite-line", "finite-plane", "finite-nd", "cells-line", "graphs")
-
-NORM_ONE = NormValue.theta(0)
 
 
 def random_element(rng: random.Random, field: FieldDescriptor,
@@ -74,37 +74,9 @@ def _distinct_points(rng, field, n, count, window) -> list[Point]:
     return pts
 
 
-def hierarchical_values(rng: random.Random, points: list[Point],
-                        window: tuple[int, int]) -> dict[Point, FieldElement]:
-    """1-Lipschitz values via top-down cluster assignment."""
-    field = points[0].field
-    values: dict[Point, FieldElement] = {}
-    base = random_element(rng, field, window)
-
-    def assign(group: list[Point], value: FieldElement):
-        if len(group) == 1:
-            values[group[0]] = value
-            return
-        diameter = max(a.norm_of_difference(b)
-                       for i, a in enumerate(group) for b in group[i + 1:])
-        clusters: list[list[Point]] = []
-        for p in group:
-            for cl in clusters:
-                if p.norm_of_difference(cl[0]) < diameter:
-                    cl.append(p)
-                    break
-            else:
-                clusters.append([p])
-        for cl in clusters:
-            assign(cl, value + small_perturbation(rng, field, diameter))
-
-    assign(sorted(points, key=lambda p: p.sort_key()), base)
-    return values
-
-
 def _finite_instance(rng, field, n, size, window) -> Instance:
     points = _distinct_points(rng, field, n, size, window)
-    values = hierarchical_values(rng, points, window)
+    values = vanishing_values(rng, points, [], window)
     entries = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
     fn = FiniteFunction(n, entries)
     report = is_lipschitz(fn, NORM_ONE)
@@ -116,36 +88,29 @@ def _finite_instance(rng, field, n, size, window) -> Instance:
 def vanishing_values(rng: random.Random, a_points: list[Point],
                      b_points: list[Point],
                      window: tuple[int, int]) -> dict[Point, FieldElement]:
-    """1-Lipschitz values on A u B that vanish on B: clusters holding a
-    B-point are pinned at zero, the rest perturb freely."""
-    field = a_points[0].field
+    """1-Lipschitz values on A u B that vanish on B (any values when B is
+    empty), assigned depth-first down the ball tree of the points sorted
+    by sort_key: a ball holding a B-point is pinned at zero, any other
+    child takes its parent's value perturbed within the parent's radius,
+    which is the parent's diameter."""
     b_set = set(b_points)
+    pts = sorted(set(a_points) | b_set, key=lambda p: p.sort_key())
+    field = pts[0].field
     values: dict[Point, FieldElement] = {}
 
-    def assign(group, value):
-        if any(p in b_set for p in group):
-            value = field.zero()
-        if len(group) == 1:
-            values[group[0]] = value
-            return
-        diameter = max(a.norm_of_difference(b)
-                       for i, a in enumerate(group) for b in group[i + 1:])
-        clusters: list[list[Point]] = []
-        for p in group:
-            for cl in clusters:
-                if p.norm_of_difference(cl[0]) < diameter:
-                    cl.append(p)
-                    break
-            else:
-                clusters.append([p])
-        for cl in clusters:
-            if any(p in b_set for p in cl):
-                assign(cl, field.zero())
-            else:
-                assign(cl, value + small_perturbation(rng, field, diameter))
+    def pinned(ball):
+        return any(pts[m] in b_set for m in ball.members)
 
-    pts = sorted(set(a_points) | b_set, key=lambda p: p.sort_key())
-    assign(pts, field.zero() if b_points else
+    def assign(ball, value):
+        if not ball.children:
+            values[pts[ball.center]] = value
+        for child in ball.children.values():
+            assign(child, field.zero() if pinned(child) else
+                   value + small_perturbation(
+                       rng, field, NormValue.theta(ball.radius)))
+
+    root = BallTree(pts).root
+    assign(root, field.zero() if b_points else
            random_element(rng, field, window))
     return values
 
@@ -259,19 +224,6 @@ def _graphs_instance(rng, field, size, window) -> Instance:
         branch_rows.append(tuple(row))
     family = GraphFamily(tuple(cells), tuple(branch_rows))
     return Instance("extend-graphs", field, family=family)
-
-
-def _glue_instance(rng, field, n, size, window) -> Instance:
-    points = _distinct_points(rng, field, n, size, window)
-    values = hierarchical_values(rng, points, window)
-    entries = sorted(values.items(), key=lambda kv: kv[0].sort_key())
-    n_parts = rng.randint(2, min(4, len(entries)))
-    parts: list[list] = [[] for _ in range(n_parts)]
-    for i, ent in enumerate(entries):
-        parts[i % n_parts].append(ent)
-    rng.shuffle(parts)
-    part_fns = tuple(FiniteFunction(n, tuple(chunk)) for chunk in parts if chunk)
-    return Instance("glue", field, parts=part_fns)
 
 
 def generate_instance(seed: int, profile: str,

@@ -6,10 +6,12 @@ leading-term condition rv(f(x + y e_i) - f(x)) = rv(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .balltree import BallTree
 from .field import (
+    NORM_ONE,
     BackendMismatchError,
     FieldDescriptor,
     FieldElement,
@@ -17,8 +19,6 @@ from .field import (
     Point,
 )
 from .geometry import Cell1D, cells_intersect
-
-NORM_ONE = NormValue.theta(0)
 
 
 class NotLipschitzError(ValueError):
@@ -114,15 +114,20 @@ class LipschitzReport:
         return not self.violations
 
 
-def _pair_ratios(f: FiniteFunction):
-    entries = f.entries
-    for i in range(len(entries)):
-        p, fp = entries[i]
-        for j in range(i + 1, len(entries)):
-            q, fq = entries[j]
-            dv = fp.norm_of_difference(fq)
-            dx = p.norm_of_difference(q)
-            yield p, q, dv / dx
+def _pair_ratios(pairs: Sequence[tuple]):
+    """Each pair of (key, value) pairs, in order, with the ratio
+    |value difference| / |key difference|.  Pairs of equal keys are
+    skipped: callers give one value per key."""
+    for (p, fp), (q, fq) in combinations(pairs, 2):
+        dx = p.norm_of_difference(q)
+        if not dx.is_zero:
+            yield (p, fp), (q, fq), fp.norm_of_difference(fq) / dx
+
+
+def first_violation(pairs: Sequence[tuple], eps: NormValue):
+    """The first two (key, value) pairs whose ratio exceeds eps, or None."""
+    return next(((a, b) for a, b, ratio in _pair_ratios(pairs)
+                 if ratio > eps), None)
 
 
 def lipschitz_constant(f: FiniteFunction) -> LipschitzReport:
@@ -133,7 +138,7 @@ def lipschitz_constant(f: FiniteFunction) -> LipschitzReport:
     """
     best = NormValue.zero()
     witness = None
-    for p, q, ratio in _pair_ratios(f):
+    for (p, _), (q, _), ratio in _pair_ratios(f.entries):
         if witness is None or ratio > best:
             best = ratio
             witness = (p, q)
@@ -149,7 +154,7 @@ def is_lipschitz(f: FiniteFunction, eps: NormValue) -> LipschitzReport:
     best = NormValue.zero()
     witness = None
     violations = []
-    for p, q, ratio in _pair_ratios(f):
+    for (p, _), (q, _), ratio in _pair_ratios(f.entries):
         if witness is None or ratio > best:
             best, witness = ratio, (p, q)
         if ratio > eps:
@@ -161,14 +166,13 @@ def require_one_lipschitz(f: FiniteFunction, what: str = "input") -> None:
     """Raise NotLipschitzError unless f is 1-Lipschitz.
 
     The ball tree decides; only a failing function is rescanned pair by
-    pair, so the witness is the first violating pair of is_lipschitz.
+    pair, so the witness is the first violating pair.
     """
     tree = BallTree(f.domain())
     if tree.lipschitz_ok([v for _, v in f.entries], NORM_ONE.exponent):
         return
-    report = is_lipschitz(f, NORM_ONE)
-    raise NotLipschitzError(
-        f"{what} is not 1-Lipschitz", witness=report.violations[0])
+    (p, _), (q, _) = first_violation(f.entries, NORM_ONE)
+    raise NotLipschitzError(f"{what} is not 1-Lipschitz", witness=(p, q))
 
 
 def risometry_check(f, axes: Iterable[int] | None = None):
@@ -185,18 +189,13 @@ def risometry_check(f, axes: Iterable[int] | None = None):
                 return False, (cell, a)
         return True, None
     axis_set = set(axes) if axes is not None else set(range(1, f.n + 1))
-    entries = f.entries
-    for i in range(len(entries)):
-        p, fp = entries[i]
-        for j in range(i + 1, len(entries)):
-            q, fq = entries[j]
-            diff_axes = [k for k in range(f.n)
-                         if p.coords[k] != q.coords[k]]
-            if len(diff_axes) != 1 or diff_axes[0] + 1 not in axis_set:
-                continue
-            y = q.coords[diff_axes[0]] - p.coords[diff_axes[0]]
-            if (fq - fp).rv() != y.rv():
-                return False, (p, q)
+    for (p, fp), (q, fq) in combinations(f.entries, 2):
+        diff_axes = [k for k in range(f.n) if p.coords[k] != q.coords[k]]
+        if len(diff_axes) != 1 or diff_axes[0] + 1 not in axis_set:
+            continue
+        y = q.coords[diff_axes[0]] - p.coords[diff_axes[0]]
+        if (fq - fp).rv() != y.rv():
+            return False, (p, q)
     return True, None
 
 

@@ -360,7 +360,6 @@ class Instance:
     parts: tuple[FiniteFunction, ...] | None = None
     glue_a: FiniteFunction | None = None
     glue_b: tuple[Point, ...] | None = None
-    raw: dict | None = None
 
 
 def parse_instance(data) -> Instance:
@@ -380,7 +379,7 @@ def parse_instance(data) -> Instance:
 
     if task == "extend-finite":
         fn = parse_finite_function(field, data.get("function"), "$.function")
-        return Instance(task, field, function=fn, raw=data)
+        return Instance(task, field, function=fn)
 
     if task in ("extend-cell", "skeleton"):
         cells_obj = data.get("cells")
@@ -397,7 +396,7 @@ def parse_instance(data) -> Instance:
                 tuple(_elements_of(field, p, ("slope", "intercept"),
                                    f"$.pieces[{i}]"))
                 for i, p in enumerate(pieces_obj))
-        return Instance(task, field, cells=cells, pieces=pieces, raw=data)
+        return Instance(task, field, cells=cells, pieces=pieces)
 
     if task == "extend-graphs":
         cells_obj = data.get("base_cells")
@@ -420,7 +419,7 @@ def parse_instance(data) -> Instance:
             family = GraphFamily(cells, tuple(branches))
         except ValueError as e:
             raise InstanceError("$.branches", str(e))
-        return Instance(task, field, family=family, raw=data)
+        return Instance(task, field, family=family)
 
     # glue: either a list of parts or an (a, b) vanishing payload
     if "parts" in data:
@@ -431,7 +430,7 @@ def parse_instance(data) -> Instance:
                       for i, p in enumerate(parts_obj))
         if len({p.n for p in parts}) != 1:
             raise InstanceError("$.parts", "parts mix dimensions")
-        return Instance(task, field, parts=parts, raw=data)
+        return Instance(task, field, parts=parts)
     if "a" in data and "b" in data:
         a = parse_finite_function(field, data["a"], "$.a")
         b_obj = data["b"]
@@ -439,7 +438,7 @@ def parse_instance(data) -> Instance:
             raise InstanceError("$.b", "expected a list of points")
         b = tuple(parse_point(field, xs, a.n, f"$.b[{i}]")
                   for i, xs in enumerate(b_obj))
-        return Instance(task, field, glue_a=a, glue_b=b, raw=data)
+        return Instance(task, field, glue_a=a, glue_b=b)
     raise InstanceError("$", "glue needs either 'parts' or 'a' and 'b'")
 
 

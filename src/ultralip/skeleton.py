@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import (
+    NORM_ONE,
     BackendMismatchError,
     CutValue,
     FieldElement,
@@ -21,6 +22,7 @@ from .field import (
     RVValue,
     integer_average,
     value_gt_cut,
+    value_le_cut,
     value_lt_cut,
 )
 from .geometry import (
@@ -32,8 +34,6 @@ from .geometry import (
     recenter_cell,
     rho,
 )
-
-NORM_ONE = NormValue.theta(0)
 
 
 class SkeletonError(ValueError):
@@ -84,10 +84,6 @@ class Skeleton:
         raise KeyError(f"{point!r} is not a skeleton point")
 
 
-def _value_le_cut(v: NormValue, cut: CutValue) -> bool:
-    return not value_gt_cut(v, cut)
-
-
 def build_skeleton(cells) -> Skeleton:
     """Run the canonical level-by-level center modification.
 
@@ -129,7 +125,7 @@ def build_skeleton(cells) -> Skeleton:
         for c in centers:
             # removal against the already-built lower-level skeleton
             near = [s for s in point_level
-                    if _value_le_cut(c.norm_of_difference(s), r)]
+                    if value_le_cut(c.norm_of_difference(s), r)]
             if near:
                 placed[c] = min(near, key=lambda s: (
                     _norm_key(c.norm_of_difference(s)), s.sort_key()))
@@ -217,7 +213,7 @@ def _equivalence_classes(centers, r: CutValue):
     classes: list[list[FieldElement]] = []
     for c in centers:
         for cls in classes:
-            if _value_le_cut(c.norm_of_difference(cls[0]), r):
+            if value_le_cut(c.norm_of_difference(cls[0]), r):
                 cls.append(c)
                 break
         else:

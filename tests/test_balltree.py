@@ -17,8 +17,13 @@ from ultralip.extension import (
     extend_cell_risometry_line,
     extend_graph_family_via_reduction,
 )
-from ultralip.field import FieldDescriptor, NormValue, Point
-from ultralip.generate import generate_instance, sample_points
+from ultralip.field import FieldDescriptor, FieldElement, NormValue, Point
+from ultralip.generate import (
+    _distinct_points,
+    generate_instance,
+    sample_points,
+    vanishing_values,
+)
 from ultralip.lipschitz import (
     FiniteFunction,
     NotLipschitzError,
@@ -158,6 +163,24 @@ def test_tree_shape():
     assert BallTree([]).nearest(T.zero()) == ()
     repeated = BallTree([T.one(), T.one()])
     assert repeated.root.radius == INF and repeated.root.members == (0, 1)
+
+
+def test_generator_walk_costs_linear_differences(monkeypatch):
+    """Values are assigned down the ball tree: O(n * depth) differences,
+    not a diameter scan over every pair of every cluster."""
+    pts = _distinct_points(random.Random(5), T, 1, 256, (-6, 6))
+    calls = [0]
+    for name in ("norm_of_difference", "lead_of_difference"):
+        method = getattr(FieldElement, name)
+
+        def counted(self, other, method=method):
+            calls[0] += 1
+            return method(self, other)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    values = vanishing_values(random.Random(0), pts, [], (-6, 6))
+    assert len(values) == 256
+    assert calls[0] <= 8 * 256
 
 
 def _container_sizes(module):

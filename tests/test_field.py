@@ -1,5 +1,6 @@
 """Field arithmetic, norms, leading terms, and averages."""
 
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -12,6 +13,7 @@ from ultralip.field import (
     PDivisibleCountWarning,
     Point,
     RVValue,
+    _is_prime,
     integer_average,
     max_norm,
 )
@@ -42,6 +44,28 @@ def test_descriptor_validation():
         FieldDescriptor("t-adic", prime=3)
     assert P3.mixed_characteristic and not T.mixed_characteristic
     assert PX.dense_value_group and not T.dense_value_group
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] \
+        == [n for n in range(-3, 20000) if _trial_division(n)]
+
+
+def test_large_primes_are_decided_quickly():
+    # strong pseudoprimes to every prime base up to 37 and up to 23
+    for n in (318665857834031151167461, 3825123056546413051):
+        with pytest.raises(ValueError):
+            FieldDescriptor("p-adic", prime=n)
+    start = time.process_time()
+    field = FieldDescriptor("p-adic", prime=100000000000000000039)
+    assert time.process_time() - start < 0.1
+    assert field.prime == 100000000000000000039
+    with pytest.raises(ValueError):  # beyond the range the bases decide
+        FieldDescriptor("p-adic", prime=3317044064679887385961981)
 
 
 def test_t_adic_exponents_must_be_integers():
