@@ -10,31 +10,20 @@ from .field import (
     Point,
     RVValue,
     integer_average,
-    max_norm,
-    norm,
-    rv,
 )
 from .geometry import (
-    AffineCenter,
     AnnulusBox,
     Ball,
     Cell1D,
-    CellND,
     ExactBox,
     cells_intersect,
-    contains,
-    delta_partition_index,
     dist_to_set,
-    fiber_box,
     rho,
-    straighten,
-    unstraighten,
 )
 from .lipschitz import (
     FiniteFunction,
     LipschitzReport,
     NotLipschitzError,
-    PiecewiseAffineMap1D,
     is_lipschitz,
     lipschitz_constant,
     reduce_to_risometry,

@@ -102,11 +102,6 @@ def extension_verdict(F: ExtendedFunction, fn: FiniteFunction,
     return _verdict(name, True)
 
 
-def _samples_for(rng, inst: Instance, anchors: list[Point], n: int,
-                 window, count) -> list[Point]:
-    return sample_points(rng, inst.field, n, anchors, window, count)
-
-
 # ---------------------------------------------------------------------------
 # Task runners
 
@@ -114,7 +109,8 @@ def _samples_for(rng, inst: Instance, anchors: list[Point], n: int,
 def _run_extend_finite(inst: Instance, rng, window, count, epsilon):
     fn = inst.function
     F = extend_finite(fn)
-    samples = _samples_for(rng, inst, list(fn.domain()), fn.n, window, count)
+    samples = sample_points(rng, inst.field, fn.n, list(fn.domain()),
+                            window, count)
     verdicts = [extension_verdict(F, fn)]
     values = [F(x) for x in samples]
     verdicts.append(lipschitz_verdict(F, samples, values=values))
@@ -149,7 +145,7 @@ def _run_extend_cell(inst: Instance, rng, window, count):
         for bi in range(len(cell.boxes)):
             members.append(cell_member(cell, bi))
     anchors = [Point((x,)) for x in members + skel_points]
-    samples = _samples_for(rng, inst, anchors, 1, window, count)
+    samples = sample_points(rng, inst.field, 1, anchors, window, count)
 
     ok, witness = True, None
     for cell, (a, b) in zip(cells, pieces):
@@ -189,7 +185,7 @@ def _run_extend_graphs(inst: Instance, rng, window, count):
                 graph_points.append(Point((x1, br.phi(x1))))
                 values.append(br.value(x1))
     anchors = graph_points + [o for o, _ in olist]
-    samples = _samples_for(rng, inst, anchors, 2, window, count)
+    samples = sample_points(rng, inst.field, 2, anchors, window, count)
 
     ok, witness = True, None
     for p, v in zip(graph_points, values):
@@ -211,7 +207,8 @@ def _run_glue(inst: Instance, rng, window, count):
         combined = union_function(inst.parts)
         F = glue_union(inst.parts)
         anchors = list(combined.domain())
-        samples = _samples_for(rng, inst, anchors, combined.n, window, count)
+        samples = sample_points(rng, inst.field, combined.n, anchors,
+                                window, count)
         verdicts = [extension_verdict(F, combined)]
         values = [F(x) for x in samples]
         verdicts.append(lipschitz_verdict(F, samples, values=values))
@@ -221,7 +218,7 @@ def _run_glue(inst: Instance, rng, window, count):
     base = extend_finite(a)
     F = glue_vanishing(a, b_points, base)
     anchors = list(a.domain()) + b_points
-    samples = _samples_for(rng, inst, anchors, a.n, window, count)
+    samples = sample_points(rng, inst.field, a.n, anchors, window, count)
 
     ok, witness = True, None
     b_set = set(b_points)
@@ -456,6 +453,20 @@ def _window_arg(s: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _int_from(least: int):
+    """An argparse type for the integers >= least."""
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
+        if v < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, "
+                                             f"got {v}")
+        return v
+    return parse
+
+
 def _epsilon_arg(s: str) -> Fraction:
     try:
         return _positive_rational(s, repr(s))
@@ -482,16 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", help="input JSON path (or - for stdin)")
     p.add_argument("--output", "-o", help="output JSON path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=60,
-                   help="number of pseudo-random verification points")
+    p.add_argument("--samples", type=_int_from(0), default=60,
+                   help="number (>= 0) of pseudo-random verification points")
     p.add_argument("--window", type=_window_arg, default="-6,6",
                    help="exponent window lo,hi for sampling and generation")
     p.add_argument("--epsilon", type=_epsilon_arg, default=None,
                    help="rational q > 0: also run the theta(-q) scaling pipeline")
     p.add_argument("--profile", choices=PROFILES, default="finite-line",
                    help="instance profile for generate")
-    p.add_argument("--size", type=int, default=None,
-                   help="instance size hint for generate")
+    p.add_argument("--size", type=_int_from(1), default=None,
+                   help="instance size hint (>= 1) for generate")
     p.add_argument("--field", default="t-adic",
                    choices=("t-adic", "puiseux", "p-adic"),
                    help="field backend for generate")

@@ -24,12 +24,7 @@ from .field import (
     integer_average,
     value_gt_cut,
 )
-from .geometry import (
-    Cell1D,
-    cells_intersect,
-    dist_to_cell,
-    dist_to_points,
-)
+from .geometry import Cell1D, cell_member, cells_intersect, dist_to_set
 from .balltree import Ball, BallTree
 from .lipschitz import (
     FiniteFunction,
@@ -86,10 +81,6 @@ class _NearestAverage:
         return integer_average([self.values[i] for i in self.tree.nearest(x)])
 
 
-def _sort_key(k):
-    return k.sort_key()
-
-
 def extend_finite_line(f: FiniteFunction) -> ExtendedFunction:
     """Average the values over the nearest-point set of the domain."""
     if f.n != 1:
@@ -112,8 +103,8 @@ def _dist_or_none(x: Point, targets) -> CutValue | None:
     if isinstance(targets[0], Cell1D):
         if x.dimension != 1:
             raise ExtensionError("cell targets are one-dimensional")
-        return min(dist_to_cell(x.coords[0], c) for c in targets)
-    return dist_to_points(x, targets)
+        x = x.coords[0]
+    return dist_to_set(x, targets)
 
 
 def _all_strictly_above(cut_a: CutValue, cut_b: CutValue) -> bool:
@@ -245,7 +236,7 @@ def _combine(privileged: dict, others: Sequence[dict], delta: NormValue) -> dict
     merged = dict(privileged)
     kept = []
     for data in others:
-        for w in sorted(data, key=_sort_key):
+        for w in sorted(data, key=lambda k: k.sort_key()):
             if all(not w.norm_of_difference(e) < delta for e in privileged):
                 kept.append((w, data[w]))
     balls: list[tuple[list, list]] = []
@@ -307,7 +298,7 @@ class _Ladder:
             keys = set()
             for i in node.members:
                 keys.update(self.fibers[i])
-            got = BallTree(sorted(keys, key=_sort_key))
+            got = BallTree(sorted(keys, key=lambda k: k.sort_key()))
             self._grid[id(node)] = got
         return got
 
@@ -343,7 +334,7 @@ def _fiber_map(f: FiniteFunction, rest) -> tuple[list, list[dict]]:
     fiber_map: dict = {}
     for p, v in f.entries:
         fiber_map.setdefault(p.coords[0], {})[rest(p)] = v
-    bases = sorted(fiber_map, key=_sort_key)
+    bases = sorted(fiber_map, key=lambda k: k.sort_key())
     return bases, [fiber_map[b] for b in bases]
 
 
@@ -593,7 +584,6 @@ def _check_graph_estimates(family: GraphFamily, skel):
     for (cell, point), moved, brs in zip(skel.attachments, skel.recentered,
                                          family.branches):
         for bi in range(len(moved.boxes)):
-            from .geometry import cell_member
             x1 = cell_member(moved, bi)
             for br in brs:
                 if br.value(x1).norm() > x1.norm_of_difference(point):

@@ -340,9 +340,6 @@ class FieldDescriptor:
             raise ValueError("p-adic exponents must be integers")
         return FieldElement(self, rational=c * Q(self.prime) ** int(e))
 
-    def uniformizer(self) -> "FieldElement":
-        return self.monomial(1)
-
     def from_terms(self, num_terms, den_terms=((0, 1),)) -> "FieldElement":
         """Build a series element from (exponent, coefficient) pairs."""
         if not self.is_series:
@@ -764,27 +761,11 @@ class Point:
         return max_norms(a.norm_of_difference(b)
                          for a, b in zip(self.coords, other.coords))
 
-    def drop(self, i: int) -> "Point":
-        coords = self.coords[:i] + self.coords[i + 1:]
-        return Point(coords)
-
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
 
     def to_text(self) -> list[str]:
         return [c.to_text() for c in self.coords]
-
-
-def max_norm(x: Point) -> NormValue:
-    return x.norm()
-
-
-def norm(a: FieldElement) -> NormValue:
-    return a.norm()
-
-
-def rv(a: FieldElement) -> RVValue:
-    return a.rv()
 
 
 def integer_average(values: Sequence[FieldElement]) -> FieldElement:

@@ -1,4 +1,4 @@
-"""Balls, annuli, cells with center tuples, and exact distance cuts.
+"""Balls, annuli, one-dimensional cells, and exact distance cuts.
 
 A one-dimensional cell is a center together with a finite union of
 rv-boxes; membership of x is decided from rv(x - center).  Boxes are
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .field import (
     BackendMismatchError,
@@ -21,7 +20,6 @@ from .field import (
     FieldDescriptor,
     FieldElement,
     NormValue,
-    Point,
     Q,
     RVValue,
     _padic_residue,
@@ -35,10 +33,6 @@ class GeometryError(ValueError):
 
 class RecenterError(GeometryError):
     """A box translation left the exactly representable class."""
-
-
-class MinimalityError(GeometryError):
-    """The fiber-box minimality precondition |lam_i| <= |lam_j| failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -488,156 +482,6 @@ def recenter_cell(cell: Cell1D, new_center: FieldElement) -> Cell1D:
     for b in cell.boxes:
         boxes.extend(translate_box(b, d))
     return Cell1D(new_center, tuple(boxes))
-
-
-# ---------------------------------------------------------------------------
-# Multi-dimensional cells with affine 1-Lipschitz centers
-
-
-@dataclass(frozen=True, slots=True)
-class AffineCenter:
-    """c(x) = constant + sum coeff_j * x_j over the earlier coordinates.
-
-    1-Lipschitz iff every coefficient has norm at most one; enforced here.
-    """
-
-    coefficients: tuple[FieldElement, ...]
-    constant: FieldElement
-
-    def __post_init__(self):
-        for c in self.coefficients:
-            if c.norm() > NormValue.theta(0):
-                raise GeometryError(f"center coefficient {c!r} has norm > 1")
-
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.constant.field
-
-    def evaluate(self, prefix: Sequence[FieldElement]) -> FieldElement:
-        if len(prefix) != len(self.coefficients):
-            raise GeometryError("wrong number of coordinates for center")
-        acc = self.constant
-        for c, x in zip(self.coefficients, prefix):
-            acc = acc + c * x
-        return acc
-
-
-def constant_center(field: FieldDescriptor, arity: int,
-                    value: FieldElement | None = None) -> AffineCenter:
-    if value is None:
-        value = field.zero()
-    return AffineCenter(tuple(field.zero() for _ in range(arity)), value)
-
-
-@dataclass(frozen=True, slots=True)
-class CellND:
-    dimension: int
-    centers: tuple[AffineCenter, ...]
-    boxes: tuple[tuple[RVBox, ...], ...]
-
-    def __post_init__(self):
-        if self.dimension < 1 or len(self.centers) != self.dimension:
-            raise GeometryError("one center per coordinate required")
-        for i, c in enumerate(self.centers):
-            if len(c.coefficients) != i:
-                raise GeometryError(f"center {i} must depend on {i} coordinates")
-        for tup in self.boxes:
-            if len(tup) != self.dimension:
-                raise GeometryError("box tuple arity mismatch")
-
-    @property
-    def field(self) -> FieldDescriptor:
-        return self.centers[0].field
-
-    def residues(self, x: Point) -> tuple[FieldElement, ...]:
-        if x.dimension != self.dimension:
-            raise GeometryError("dimension mismatch")
-        out = []
-        for i, c in enumerate(self.centers):
-            out.append(x[i] - c.evaluate(x.coords[:i]))
-        return tuple(out)
-
-    def contains(self, x: Point) -> bool:
-        if x.field != self.field:
-            raise BackendMismatchError("cell and point backends differ")
-        rvs = [w.rv() for w in self.residues(x)]
-        for tup in self.boxes:
-            if all(box_contains_rv(b, v, self.field) for b, v in zip(tup, rvs)):
-                return True
-        return False
-
-
-def contains(cell, x) -> bool:
-    """Membership for 1-D or n-D cells; Point inputs allowed for both."""
-    if isinstance(cell, Cell1D):
-        if isinstance(x, Point):
-            if x.dimension != 1:
-                raise GeometryError("dimension mismatch")
-            x = x[0]
-        return cell.contains(x)
-    if not isinstance(x, Point):
-        raise GeometryError("n-dimensional membership needs a Point")
-    return cell.contains(x)
-
-
-def delta_partition_index(x: Point) -> int:
-    """The unique 1-based i with |x_i| <= |x_j| for j < i and < for j > i.
-
-    Ties go to the later coordinate, mirroring the weak inequality against
-    earlier coordinates in the coordinate-hyperplane partition.
-    """
-    norms = [c.norm() for c in x.coords]
-    best = 0
-    for i in range(1, len(norms)):
-        if norms[i] <= norms[best]:
-            best = i
-    return best + 1
-
-
-def straighten(cell: CellND, x: Point) -> Point:
-    """(x_1 - c_1, ..., x_n - c_n(x_<n)); bi-Lipschitz with inverse below."""
-    return Point(cell.residues(x))
-
-
-def unstraighten(cell: CellND, y: Point) -> Point:
-    if y.dimension != cell.dimension:
-        raise GeometryError("dimension mismatch")
-    coords: list[FieldElement] = []
-    for i, c in enumerate(cell.centers):
-        coords.append(y[i] + c.evaluate(coords[:i]))
-    return Point(tuple(coords))
-
-
-def fiber_box(box_tuple: Sequence[RVBox], centers: Sequence[FieldElement],
-              i: int) -> CellND:
-    """The common fiber of a twisted box under projection to the x_i axis.
-
-    Takes a tuple of exact boxes with constant centers and a 1-based index
-    whose norm is minimal among the tuple; returns the (n-1)-dimensional
-    twisted box obtained by dropping that coordinate.
-    """
-    n = len(box_tuple)
-    if not 1 <= i <= n:
-        raise GeometryError(f"index {i} out of range 1..{n}")
-    if len(centers) != n:
-        raise GeometryError("one constant center per coordinate required")
-    for b in box_tuple:
-        if not isinstance(b, ExactBox):
-            raise GeometryError("fiber projection needs exact boxes")
-    k = i - 1
-    ni = box_tuple[k].rv.norm
-    for j, b in enumerate(box_tuple):
-        if ni > b.rv.norm:
-            raise MinimalityError(
-                f"|lam_{i}| <= |lam_{j + 1}| fails: {ni!r} > {b.rv.norm!r}")
-    field = centers[0].field
-    rest_centers = tuple(c for j, c in enumerate(centers) if j != k)
-    rest_boxes = tuple(b for j, b in enumerate(box_tuple) if j != k)
-    return CellND(
-        n - 1,
-        tuple(constant_center(field, j, c) for j, c in enumerate(rest_centers)),
-        (rest_boxes,),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,12 @@ from .field import (
     NormValue,
     Point,
 )
-from .geometry import Cell1D, cells_intersect
 
 
 class NotLipschitzError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class RisometryError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,33 +69,6 @@ class FiniteFunction:
 def finite_function_1d(field: FieldDescriptor, pairs) -> FiniteFunction:
     """Convenience constructor from (element, element) pairs."""
     return FiniteFunction(1, tuple((Point((x,)), y) for x, y in pairs))
-
-
-@dataclass(frozen=True, slots=True)
-class PiecewiseAffineMap1D:
-    """Affine pieces slope*x + intercept over pairwise disjoint cells."""
-
-    pieces: tuple[tuple[Cell1D, FieldElement, FieldElement], ...]
-
-    def __post_init__(self):
-        cells = [c for c, _, _ in self.pieces]
-        for i, a in enumerate(cells):
-            for b in cells[i + 1:]:
-                if cells_intersect(a, b):
-                    raise ValueError(f"piece cells overlap: {a} and {b}")
-
-    def cells(self) -> tuple[Cell1D, ...]:
-        return tuple(c for c, _, _ in self.pieces)
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        for cell, a, b in self.pieces:
-            if cell.contains(x):
-                return a * x + b
-        raise KeyError(f"{x!r} lies in no piece")
-
-    def slopes_in_one_plus_m(self) -> bool:
-        one = self.pieces[0][1].field.one()
-        return all((a - one).norm() < NORM_ONE for _, a, _ in self.pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,19 +143,12 @@ def require_one_lipschitz(f: FiniteFunction, what: str = "input") -> None:
     raise NotLipschitzError(f"{what} is not 1-Lipschitz", witness=(p, q))
 
 
-def risometry_check(f, axes: Iterable[int] | None = None):
-    """Exact risometry test.
+def risometry_check(f: FiniteFunction, axes: Iterable[int] | None = None):
+    """Exact risometry test of a finite function.
 
-    For a finite function the check runs over all pairs differing in
-    exactly one coordinate from the axis set; for affine pieces it checks
-    slope - 1 has norm below one.  Returns (ok, counterexample).
+    The check runs over all pairs differing in exactly one coordinate
+    from the axis set.  Returns (ok, counterexample).
     """
-    if isinstance(f, PiecewiseAffineMap1D):
-        one = f.pieces[0][1].field.one()
-        for cell, a, b in f.pieces:
-            if not (a - one).norm() < NORM_ONE:
-                return False, (cell, a)
-        return True, None
     axis_set = set(axes) if axes is not None else set(range(1, f.n + 1))
     for (p, fp), (q, fq) in combinations(f.entries, 2):
         diff_axes = [k for k in range(f.n) if p.coords[k] != q.coords[k]]
@@ -227,14 +188,7 @@ def reduce_to_risometry(f: FiniteFunction, eps: NormValue,
 def restore_from_risometry(g: FiniteFunction, eps_elt: FieldElement,
                            axes: Sequence[int]) -> FiniteFunction:
     """F(x) = eps_elt * (g(x) - sum_{i in axes} x_i); inverse of the reduction."""
-
-    def transform(p: Point, v: FieldElement) -> FieldElement:
-        acc = v
-        for i in axes:
-            acc = acc - p.coords[i - 1]
-        return eps_elt * acc
-
-    return g.map_values(transform)
+    return g.map_values(lambda p, v: restore_value(v, p, eps_elt, axes))
 
 
 def restore_value(gx: FieldElement, x: Point, eps_elt: FieldElement,

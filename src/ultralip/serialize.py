@@ -22,7 +22,7 @@ from .field import (
     Q,
     RVValue,
 )
-from .geometry import AffineCenter, AnnulusBox, Cell1D, CellND, ExactBox, RVBox
+from .geometry import AnnulusBox, Cell1D, ExactBox, RVBox
 from .lipschitz import FiniteFunction
 from .extension import GraphBranch, GraphFamily
 from .skeleton import Skeleton
@@ -228,46 +228,6 @@ def parse_cell(field: FieldDescriptor, obj, path="cell") -> Cell1D:
 def emit_cell(c: Cell1D) -> dict:
     return {"center": emit_element(c.center),
             "boxes": [emit_box(b) for b in c.boxes]}
-
-
-def parse_affine_center(field: FieldDescriptor, obj,
-                        path="center") -> AffineCenter:
-    """Affine-record form: {'coefficients': [...], 'constant': elem}."""
-    if not isinstance(obj, dict) or "constant" not in obj:
-        raise InstanceError(path, "expected {'coefficients': [...], 'constant': ...}")
-    coeffs = tuple(parse_element(field, c, f"{path}.coefficients[{i}]")
-                   for i, c in enumerate(obj.get("coefficients", [])))
-    constant = parse_element(field, obj["constant"], f"{path}.constant")
-    try:
-        return AffineCenter(coeffs, constant)
-    except ValueError as e:
-        raise InstanceError(path, str(e))
-
-
-def emit_affine_center(c: AffineCenter) -> dict:
-    return {"coefficients": [emit_element(x) for x in c.coefficients],
-            "constant": emit_element(c.constant)}
-
-
-def parse_cellnd(field: FieldDescriptor, obj, path="cell") -> CellND:
-    """An n-dimensional cell: affine-record centers and box tuples."""
-    if not isinstance(obj, dict) or "centers" not in obj or "boxes" not in obj:
-        raise InstanceError(path, "expected {'centers': [...], 'boxes': [[...]]}")
-    centers = tuple(parse_affine_center(field, c, f"{path}.centers[{i}]")
-                    for i, c in enumerate(obj["centers"]))
-    boxes = tuple(
-        tuple(parse_box(field, b, f"{path}.boxes[{i}][{j}]")
-              for j, b in enumerate(row))
-        for i, row in enumerate(obj["boxes"]))
-    try:
-        return CellND(len(centers), centers, boxes)
-    except ValueError as e:
-        raise InstanceError(path, str(e))
-
-
-def emit_cellnd(c: CellND) -> dict:
-    return {"centers": [emit_affine_center(x) for x in c.centers],
-            "boxes": [[emit_box(b) for b in row] for row in c.boxes]}
 
 
 # ---------------------------------------------------------------------------

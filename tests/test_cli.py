@@ -208,21 +208,6 @@ def test_run_instance_report_shape():
     assert isinstance(report["timing_ms"], float)
 
 
-def test_cellnd_round_trip():
-    from ultralip.geometry import AffineCenter, CellND, ExactBox, constant_center
-    from ultralip.serialize import emit_cellnd, parse_cellnd
-
-    cell = CellND(
-        2,
-        (constant_center(T, 0), AffineCenter((T.one(),), T.monomial(1))),
-        ((ExactBox(T.one().rv()), ExactBox(T.monomial(1).rv())),),
-    )
-    again = parse_cellnd(T, emit_cellnd(cell))
-    assert again == cell
-    with pytest.raises(InstanceError):
-        parse_cellnd(T, {"centers": [], "boxes": "nope"})
-
-
 def test_generate_singleton_profile():
     inst = parse_instance(json.dumps(generate(3, "finite-line", size=1)))
     assert len(inst.function.entries) == 1
@@ -344,7 +329,8 @@ def test_window_space_form_and_bad_flags(tmp_path):
     assert rc == 0
     assert json.loads(open(out_path).read())["window"] == [-3, 3]
     for flag, bad in (("--window", "3,-3"), ("--window", "x"),
-                      ("--epsilon", "abc"), ("--epsilon", "0")):
+                      ("--epsilon", "abc"), ("--epsilon", "0"),
+                      ("--samples", "-1"), ("--size", "-3"), ("--size", "0")):
         with pytest.raises(SystemExit) as exc:
             main(["extend-finite", "-i", str(tmp_path / "inst.json"),
                   flag, bad])

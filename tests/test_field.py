@@ -15,7 +15,6 @@ from ultralip.field import (
     RVValue,
     _is_prime,
     integer_average,
-    max_norm,
 )
 
 T = FieldDescriptor("t-adic")
@@ -164,9 +163,9 @@ def test_rv_zero():
 
 
 def test_max_norm_examples():
-    assert max_norm(Point((t(1), T.one()))) == theta(0)
-    assert max_norm(Point((T.zero(), T.zero()))) == ZERO
-    assert max_norm(Point((t(2), t(3)))) == theta(2)
+    assert Point((t(1), T.one())).norm() == theta(0)
+    assert Point((T.zero(), T.zero())).norm() == ZERO
+    assert Point((t(2), t(3))).norm() == theta(2)
 
 
 def test_point_validation():

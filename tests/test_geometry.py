@@ -1,4 +1,4 @@
-"""Cells, boxes, distance cuts, and the coordinate helpers."""
+"""Cells, boxes, distance cuts, recentering and balls."""
 
 from fractions import Fraction as Q
 
@@ -9,31 +9,21 @@ from ultralip.field import (
     CutValue,
     FieldDescriptor,
     NormValue,
-    Point,
 )
 from ultralip.geometry import (
-    AffineCenter,
     AnnulusBox,
     Ball,
     Cell1D,
-    CellND,
     ExactBox,
     GeometryError,
-    MinimalityError,
     RecenterError,
     boxes_disjoint,
     cell_member,
     cells_intersect,
-    constant_center,
-    contains,
-    delta_partition_index,
     dist_to_set,
-    fiber_box,
     realizable_exponent_between,
     recenter_cell,
     rho,
-    straighten,
-    unstraighten,
 )
 
 T = FieldDescriptor("t-adic")
@@ -62,17 +52,6 @@ def test_contains_sphere():
     cell = Cell1D(T.zero(), (sphere_box(0),))
     assert cell.contains(T.one() + t(1))
     assert not cell.contains(t(1))
-
-
-def test_contains_nd():
-    cell = CellND(
-        2,
-        (constant_center(T, 0), AffineCenter((T.one(),), T.zero())),
-        ((ExactBox(T.one().rv()), ExactBox(t(1).rv())),),
-    )
-    assert cell.contains(Point((T.one(), T.one() + t(1))))
-    assert not cell.contains(Point((T.one(), T.one())))
-    assert contains(cell, Point((T.one(), T.one() + t(1))))
 
 
 def test_box_validation():
@@ -142,104 +121,6 @@ def test_dist_above_and_unit_mismatch():
     assert dist_to_set(T.one(), [cell]) == cut(0)  # above the fiber norm
     assert dist_to_set(t(1, 2), [cell]) == cut(1)  # same norm, other unit
     assert dist_to_set(t(1) + t(2), [cell]) == cut(None, True)  # inside
-
-
-# -- delta partition -------------------------------------------------------------
-
-
-def test_delta_partition_examples():
-    assert delta_partition_index(Point((t(1), T.one()))) == 1
-    assert delta_partition_index(Point((T.one(), t(1)))) == 2
-    assert delta_partition_index(Point((T.one(), T.one()))) == 2
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=4))
-def test_delta_partition_defining_inequalities(exps):
-    x = Point(tuple(t(e) for e in exps))
-    i = delta_partition_index(x) - 1
-    ni = x[i].norm()
-    for j in range(len(exps)):
-        if j < i:
-            assert ni <= x[j].norm()
-        elif j > i:
-            assert ni < x[j].norm()
-
-
-# -- straighten -------------------------------------------------------------------
-
-
-def _shear_cell():
-    return CellND(
-        2,
-        (constant_center(T, 0), AffineCenter((T.one(),), T.zero())),
-        ((ExactBox(T.one().rv()), ExactBox(t(1).rv())),),
-    )
-
-
-def test_straighten_examples():
-    cell = _shear_cell()
-    assert straighten(cell, Point((t(1), t(1)))) == Point((t(1), T.zero()))
-    zero_cell = CellND(2, (constant_center(T, 0), constant_center(T, 1)),
-                       ((ExactBox(t(1).rv()), ExactBox(t(1).rv())),))
-    p = Point((t(1), T.one()))
-    assert straighten(zero_cell, p) == p
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(-3, 3), st.integers(-3, 3))
-def test_straighten_roundtrip(e1, e2):
-    cell = _shear_cell()
-    x = Point((t(e1) + T.one(), t(e2)))
-    assert unstraighten(cell, straighten(cell, x)) == x
-
-
-def test_straighten_maps_graph_to_hyperplane():
-    cell = _shear_cell()
-    for e in (-2, 0, 3):
-        x1 = t(e) + T.from_int(2)
-        x = Point((x1, x1))  # on the graph of c_2
-        assert straighten(cell, x)[1].is_zero
-
-
-def test_straighten_preserves_difference_norms():
-    cell = _shear_cell()
-    pts = [Point((t(a), t(b))) for a, b in [(0, 1), (1, 1), (2, 0), (-1, 2)]]
-    for x in pts:
-        for y in pts:
-            assert straighten(cell, x).norm_of_difference(straighten(cell, y)) \
-                == x.norm_of_difference(y)
-
-
-# -- fiber boxes ------------------------------------------------------------------
-
-
-def test_fiber_box_examples():
-    zeros2 = (T.zero(), T.zero())
-    fb = fiber_box((ExactBox(T.one().rv()), ExactBox(t(1).rv())), zeros2, 2)
-    assert fb.dimension == 1
-    assert fb.contains(Point((T.one() + t(2),)))
-    assert not fb.contains(Point((t(1),)))
-
-    with pytest.raises(MinimalityError):
-        fiber_box((ExactBox(t(1).rv()), ExactBox(T.one().rv())), zeros2, 2)
-
-    zeros3 = (T.zero(),) * 3
-    fb3 = fiber_box((ExactBox(T.one().rv()), ExactBox(T.one().rv()),
-                     ExactBox(t(1).rv())), zeros3, 3)
-    assert fb3.dimension == 2
-    assert fb3.contains(Point((T.one(), T.one() + t(3))))
-
-
-def test_fiber_box_independent_of_representative():
-    # both representatives of the projected coordinate see the same fiber
-    big = CellND(2, (constant_center(T, 0), constant_center(T, 1)),
-                 ((ExactBox(T.one().rv()), ExactBox(t(1).rv())),))
-    fb = fiber_box((ExactBox(T.one().rv()), ExactBox(t(1).rv())),
-                   (T.zero(), T.zero()), 2)
-    for x2 in (t(1), t(1) + t(3)):
-        for x1 in (T.one(), T.one() + t(2)):
-            assert big.contains(Point((x1, x2))) == fb.contains(Point((x1,)))
 
 
 # -- translation / recentering ------------------------------------------------------

@@ -1,21 +1,31 @@
-"""Golden corpus: generated instances and their construction reports stay
+"""Golden corpus: generated instances and their reports stay
 byte-identical.
 
 Each case stores the `generate` output (as the CLI writes it) and the
 report of the matching construction command with `timing_ms` removed; a
-construction the CLI refuses (exit 2) stores its error instead.  To
-rewrite the corpus after a deliberate change of output, run
+construction the CLI refuses (exit 2) stores its error instead.  Beside
+these, with `timing_ms` removed as well:
+
+- `.verify.json`: the `verify` report of the stored construction report
+  (not for stored errors);
+- `.skeleton.json`: for `cells-line`, the `skeleton` report of the same
+  cells (task `skeleton`, pieces dropped);
+- `.epsilon.json`: for `finite-line` and `finite-plane`, the report with
+  `--epsilon 1`.
+
+To rewrite the corpus after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ultralip.cli import run_instance
+from ultralip.cli import run_instance, run_verify
 from ultralip.extension import ExtensionError
 from ultralip.field import FieldDescriptor
 from ultralip.generate import PROFILES, generate, generate_vanishing_pair
@@ -50,36 +60,53 @@ def _instance(backend: str, name: str) -> dict:
     return generate(int(seed), kind, field)
 
 
-def _report(instance_text: str) -> dict:
+def _report(instance, epsilon=None) -> dict:
     try:
-        report = run_instance(parse_instance(instance_text), REPORT_SEED,
-                              REPORT_SAMPLES, WINDOW, None)
+        report = run_instance(parse_instance(instance), REPORT_SEED,
+                              REPORT_SAMPLES, WINDOW, epsilon)
     except (NotLipschitzError, ExtensionError, ValueError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
     del report["timing_ms"]
     return report
 
 
-def _paths(backend: str, name: str) -> tuple[Path, Path]:
+def _verify(report: dict) -> dict:
+    out = run_verify(report, REPORT_SEED, REPORT_SAMPLES, WINDOW, None)
+    del out["timing_ms"]
+    return out
+
+
+def _files(backend: str, name: str) -> dict[Path, str]:
+    """The corpus files of one case, each with the text it must hold."""
     base = GOLDEN / backend / name
-    return base.with_suffix(".json"), base.with_suffix(".report.json")
+    instance = _text(_instance(backend, name))
+    report = _report(instance)
+    files = {base.with_suffix(".json"): instance,
+             base.with_suffix(".report.json"): _text(report)}
+    if "error" not in report:
+        files[base.with_suffix(".verify.json")] = _text(_verify(report))
+    kind = name.rsplit("-", 1)[0]
+    if kind == "cells-line":
+        skeleton = {**json.loads(instance), "task": "skeleton"}
+        del skeleton["pieces"]
+        files[base.with_suffix(".skeleton.json")] = _text(_report(skeleton))
+    if kind in ("finite-line", "finite-plane"):
+        files[base.with_suffix(".epsilon.json")] = _text(
+            _report(instance, Fraction(1)))
+    return files
 
 
 @pytest.mark.parametrize("backend,name", list(_cases()))
 def test_golden_case(backend, name):
-    inst_path, report_path = _paths(backend, name)
-    instance = _text(_instance(backend, name))
-    assert instance == inst_path.read_text()
-    assert _text(_report(instance)) == report_path.read_text()
+    for path, text in _files(backend, name).items():
+        assert text == path.read_text(), path.name
 
 
 def _record():
     for backend, name in _cases():
-        inst_path, report_path = _paths(backend, name)
-        inst_path.parent.mkdir(parents=True, exist_ok=True)
-        instance = _text(_instance(backend, name))
-        inst_path.write_text(instance)
-        report_path.write_text(_text(_report(instance)))
+        for path, text in _files(backend, name).items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
 
 
 if __name__ == "__main__":

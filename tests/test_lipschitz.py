@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultralip.field import FieldDescriptor, NormValue, Point
-from ultralip.geometry import AnnulusBox, Cell1D, CutValue, ExactBox
 from ultralip.lipschitz import (
     NotLipschitzError,
-    PiecewiseAffineMap1D,
     finite_function_1d,
     is_lipschitz,
     lipschitz_constant,
@@ -61,17 +59,6 @@ def test_is_lipschitz_examples():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         ff([(t(1), T.zero()), (t(1), T.one())])
-
-
-def test_risometry_check_affine():
-    sphere = Cell1D(T.zero(), (AnnulusBox(CutValue(theta(0), True),
-                                          CutValue(theta(0), True)),))
-    good = PiecewiseAffineMap1D(((sphere, T.one() + t(1), T.zero()),))
-    ok, _ = risometry_check(good)
-    assert ok
-    bad = PiecewiseAffineMap1D(((sphere, T.from_int(2), T.zero()),))
-    ok, witness = risometry_check(bad)
-    assert not ok and witness is not None
 
 
 def test_risometry_check_finite():
@@ -153,23 +140,6 @@ def test_affine_risometry_preserves_image_radii():
         for y in pts:
             img = (a * x + b).norm_of_difference(a * y + b)
             assert img == x.norm_of_difference(y)
-
-
-def test_piecewise_map_evaluation():
-    ball = Cell1D(T.zero(), (ExactBox(t(1).rv()),))
-    far = Cell1D(T.one(), (ExactBox(t(2).rv()),))
-    pm = PiecewiseAffineMap1D((
-        (ball, T.one() + t(1), T.zero()),
-        (far, T.one(), t(3)),
-    ))
-    assert pm.evaluate(t(1)) == (T.one() + t(1)) * t(1)
-    assert pm.evaluate(T.one() + t(2)) == T.one() + t(2) + t(3)
-    with pytest.raises(KeyError):
-        pm.evaluate(T.from_int(2))
-    assert pm.slopes_in_one_plus_m()
-    with pytest.raises(ValueError):
-        PiecewiseAffineMap1D(((ball, T.one(), T.zero()),
-                              (ball, T.one(), T.zero())))
 
 
 def test_reduce_output_properties_randomized():
