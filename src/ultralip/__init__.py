@@ -30,6 +30,7 @@ from .lipschitz import (
     rescale,
     restore_from_risometry,
     risometry_check,
+    terms_lipschitz_ok,
 )
 from .skeleton import (
     Configuration,

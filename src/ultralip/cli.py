@@ -23,7 +23,7 @@ from .field import (
     PDivisibleCountWarning,
     Point,
 )
-from .geometry import cell_member
+from .geometry import cell_member, rho
 from .lipschitz import FiniteFunction, NotLipschitzError, first_violation
 from .extension import (
     ExtendedFunction,
@@ -52,7 +52,7 @@ from .serialize import (
     parse_point,
     parse_rational,
 )
-from .skeleton import build_skeleton, check_skeleton
+from .skeleton import build_skeleton, check_skeleton, configuration_of
 
 COMMANDS = ("extend-finite", "extend-cell", "extend-graphs", "glue",
             "skeleton", "verify", "generate")
@@ -99,6 +99,39 @@ def extension_verdict(F: ExtendedFunction, fn: FiniteFunction,
             return _verdict(name, False, {
                 "x": p.to_text(), "expected": emit_element(v),
                 "got": emit_element(got)})
+    return _verdict(name, True)
+
+
+def configuration_verdict(cells, transport) -> dict:
+    """Whether the image cells of a transport have the configuration of
+    the source cells, and its point map keeps every skeleton point's
+    level; computed on the transport the construction returned."""
+    name = "configuration-preserved"
+    source = configuration_of([(c.center, rho(c)) for c in cells])
+    image = configuration_of([(c.center, rho(c))
+                              for c in transport.image_cells])
+    if source != image:
+        return _verdict(name, False, {
+            "centers": [c.center.to_text() for c in cells],
+            "image_centers": [c.center.to_text()
+                              for c in transport.image_cells]})
+    for p, q in transport.point_map:
+        if transport.source.level_of(p) != transport.image.level_of(q):
+            return _verdict(name, False, {"x": p.to_text(),
+                                          "image": q.to_text()})
+    return _verdict(name, True)
+
+
+def origin_verdict(F: ExtendedFunction, olist) -> dict:
+    """Whether F takes its origin value e at every origin o, so that the
+    reduced part of the construction vanishes there."""
+    name = "origin-reduction-vanishes"
+    for o, e in olist:
+        got = F(o)
+        if got != e:
+            return _verdict(name, False, {"x": o.to_text(),
+                                          "expected": emit_element(e),
+                                          "got": emit_element(got)})
     return _verdict(name, True)
 
 
@@ -167,7 +200,7 @@ def _run_extend_cell(inst: Instance, rng, window, count):
             ok, witness = False, _pair_witness(x, x, a, b)
             break
     verdicts.append(_verdict("split-route-agrees", ok, witness))
-    verdicts.append(_verdict("configuration-preserved", True))
+    verdicts.append(configuration_verdict(cells, transport))
     verdicts.append(lipschitz_verdict(F, samples, values=values))
     return F, verdicts, samples, values
 
@@ -197,7 +230,7 @@ def _run_extend_graphs(inst: Instance, rng, window, count):
             break
     values = [F(x) for x in samples]
     verdicts = [_verdict("extends-graph-data", ok, witness),
-                _verdict("origin-reduction-vanishes", True),
+                origin_verdict(F, olist),
                 lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values
 

@@ -183,6 +183,22 @@ def test_generator_walk_costs_linear_differences(monkeypatch):
     assert calls[0] <= 8 * 256
 
 
+def test_generator_check_costs_linear_differences(monkeypatch):
+    """The generator's soundness check runs on term prefixes: O(n * depth)
+    value differences, where the pair scan took one per pair."""
+    calls = [0]
+    method = FieldElement.norm_of_difference
+
+    def counted(self, other):
+        calls[0] += 1
+        return method(self, other)
+
+    monkeypatch.setattr(FieldElement, "norm_of_difference", counted)
+    inst = generate_instance(1, "finite-line", T, size=256)
+    assert len(inst.function.entries) == 256
+    assert calls[0] <= 8 * 256
+
+
 def _container_sizes(module):
     return {name: len(value) for name, value in vars(module).items()
             if not name.startswith("__")

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ultralip import cli
 from ultralip.cli import main, run_instance
-from ultralip.extension import ExtendedFunction
+from ultralip.extension import ExtendedFunction, _fiberwise
 from ultralip.field import FieldDescriptor, NormValue
 from ultralip.generate import (
     PROFILES,
@@ -23,7 +25,7 @@ from ultralip.generate import (
     generate_vanishing_pair,
     sample_points,
 )
-from ultralip.geometry import cells_intersect
+from ultralip.geometry import Cell1D, cells_intersect
 from ultralip.lipschitz import FiniteFunction, is_lipschitz
 from ultralip.serialize import (
     Instance,
@@ -116,6 +118,13 @@ def test_generated_cells_are_disjoint(seed):
             assert not cells_intersect(a, b)
 
 
+def test_generate_instance_rejects_sizes_below_one():
+    for size in (0, -3):
+        for profile in ("finite-line", "cells-line", "graphs"):
+            with pytest.raises(ValueError, match="at least 1"):
+                generate_instance(0, profile, T, size=size)
+
+
 def test_generate_determinism():
     a = generate(7, "finite-plane")
     b = generate(7, "finite-plane")
@@ -206,6 +215,72 @@ def test_run_instance_report_shape():
     assert report["task"] == "extend-finite"
     assert report["samples"] and report["instance"]
     assert isinstance(report["timing_ms"], float)
+
+
+def _named_verdict(report, name):
+    return next(v for v in report["verdicts"] if v["name"] == name)
+
+
+def _cell_report_with_transport(monkeypatch, break_transport):
+    """The extend-cell report of a 4-cell, 2-level instance whose
+    construction returns the transport break_transport makes of its own."""
+    real = cli.extend_cell_risometry_line
+
+    def broken(cells, pieces):
+        F = real(cells, pieces)
+        F.extras["transport"] = break_transport(F.extras["transport"])
+        return F
+
+    inst = generate_instance(0, "cells-line", T)
+    report = run_instance(inst, 0, 10, (-6, 6), None)
+    assert _named_verdict(report, "configuration-preserved")["pass"]
+    monkeypatch.setattr(cli, "extend_cell_risometry_line", broken)
+    return run_instance(inst, 0, 10, (-6, 6), None)
+
+
+def test_configuration_verdict_sees_moved_image_cells(monkeypatch):
+    def move_first_onto_second(tr):
+        first, second, *rest = tr.image_cells
+        moved = Cell1D(second.center, first.boxes)
+        return dataclasses.replace(tr, image_cells=(moved, second, *rest))
+
+    report = _cell_report_with_transport(monkeypatch, move_first_onto_second)
+    verdict = _named_verdict(report, "configuration-preserved")
+    assert not verdict["pass"]
+    centers = verdict["witness"]["image_centers"]
+    assert centers[0] == centers[1] != verdict["witness"]["centers"][0]
+
+
+def test_configuration_verdict_sees_a_level_change(monkeypatch):
+    def map_every_point_to_the_first_image(tr):
+        q = tr.point_map[0][1]
+        return dataclasses.replace(
+            tr, point_map=tuple((p, q) for p, _ in tr.point_map))
+
+    report = _cell_report_with_transport(
+        monkeypatch, map_every_point_to_the_first_image)
+    verdict = _named_verdict(report, "configuration-preserved")
+    assert not verdict["pass"]
+    p, q = verdict["witness"]["x"], verdict["witness"]["image"]
+    assert p != q
+
+
+def test_origin_verdict_sees_a_missing_origin_extension(monkeypatch):
+    def without_origin_extension(family):
+        # the reduction with the origin values never added back
+        return _fiberwise(family, lambda ci, bi, x1:
+                          family.branches[ci][bi].value(x1))
+
+    inst = generate_instance(1, "graphs", T)
+    report = run_instance(inst, 1, 10, (-6, 6), None)
+    assert _named_verdict(report, "origin-reduction-vanishes")["pass"]
+    monkeypatch.setattr(cli, "extend_graph_family_via_reduction",
+                        without_origin_extension)
+    report = run_instance(inst, 1, 10, (-6, 6), None)
+    assert _named_verdict(report, "extends-graph-data")["pass"]
+    verdict = _named_verdict(report, "origin-reduction-vanishes")
+    assert not verdict["pass"]
+    assert verdict["witness"]["got"] != verdict["witness"]["expected"]
 
 
 def test_generate_singleton_profile():

@@ -1,10 +1,16 @@
 """Lipschitz constants, risometries, and the reduce/restore transforms."""
 
+import random
+from fractions import Fraction as Q
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultralip.balltree import BallTree
 from ultralip.field import FieldDescriptor, NormValue, Point
+from ultralip.generate import generate_instance, vanishing_values
 from ultralip.lipschitz import (
+    FiniteFunction,
     NotLipschitzError,
     finite_function_1d,
     is_lipschitz,
@@ -13,9 +19,11 @@ from ultralip.lipschitz import (
     rescale,
     restore_from_risometry,
     risometry_check,
+    terms_lipschitz_ok,
 )
 
 T = FieldDescriptor("t-adic")
+PX = FieldDescriptor("puiseux")
 theta = NormValue.theta
 
 
@@ -155,3 +163,82 @@ def test_reduce_output_properties_randomized():
         assert is_lipschitz(g, theta(0)).ok
         back = restore_from_risometry(g, t(-1), axes=[1])
         assert back.entries == inst.function.entries
+
+
+# -- the term-prefix decider ------------------------------------------------
+
+
+@st.composite
+def laurent_functions(draw):
+    """t-adic or puiseux data of dimension 1 to 3 whose coordinates and
+    values are Laurent polynomials.  Few exponents and coefficients make
+    shared term prefixes common.  Values are random, 1-Lipschitz by the
+    generator's tree walk, or that with one value moved."""
+    field = draw(st.sampled_from([T, PX]))
+    step = Q(1) if field == T else Q(1, 2)
+    element = st.lists(
+        st.tuples(st.integers(-2, 2).map(lambda k: k * step),
+                  st.sampled_from([-2, -1, 1, 2])),
+        max_size=3).map(field.from_terms)
+    n = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[element] * n).map(Point),
+                         min_size=1, max_size=8, unique=True))
+    mode = draw(st.sampled_from(["random", "lipschitz", "one-moved"]))
+    if mode == "random":
+        values = [draw(element) for _ in keys]
+    else:
+        walked = vanishing_values(random.Random(draw(st.integers(0, 999))),
+                                  keys, [], (-2, 2))
+        values = [walked[k] for k in keys]
+        if mode == "one-moved":
+            i = draw(st.integers(0, len(keys) - 1))
+            values[i] = values[i] + draw(element)
+    return FiniteFunction(n, tuple(zip(keys, values)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_functions(), st.sampled_from([-1, 0, 1]))
+def test_terms_decider_matches_pair_scan_and_ball_tree(f, k):
+    eps = theta(k)
+    ok = terms_lipschitz_ok(f, eps)
+    assert ok is is_lipschitz(f, eps).ok
+    assert ok is BallTree(f.domain()).lipschitz_ok(
+        [v for _, v in f.entries], eps.exponent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_functions(), st.sampled_from([-1, 0, 1]))
+def test_terms_decider_declines_rational_forms(f, k):
+    unit = f.field.one() / f.field.from_terms([(0, 1), (1, 1)])
+    mapped = FiniteFunction(f.n, tuple(
+        (Point(tuple(unit * c for c in p.coords)), unit * v)
+        for p, v in f.entries))
+    got = terms_lipschitz_ok(mapped, theta(k))
+    if any(x.den != ((0, 1),) for p, v in mapped.entries
+           for x in (*p.coords, v)):
+        assert got is None
+    else:  # every element was a multiple of 1 + t
+        assert got is is_lipschitz(mapped, theta(k)).ok
+
+
+def test_terms_decider_declines_p_adic_data():
+    P3 = FieldDescriptor("p-adic", prime=3)
+    for seed in range(4):
+        f = generate_instance(seed, "finite-line", P3, size=6).function
+        assert terms_lipschitz_ok(f, theta(0)) is None
+    f = generate_instance(0, "finite-line", T, size=6).function
+    assert terms_lipschitz_ok(f, theta(0)) is True
+
+
+def test_terms_decider_examples():
+    assert terms_lipschitz_ok(ff([(T.zero(), T.zero()), (t(1), t(1))]),
+                              theta(0)) is True
+    assert terms_lipschitz_ok(ff([(T.zero(), T.zero()), (t(2), t(1))]),
+                              theta(0)) is False
+    # keys 1 + t and 1 + 2t share the term 1: they are theta(1) apart
+    pair = ff([(T.one() + t(1), T.zero()), (T.one() + t(1, 2), t(1))])
+    assert terms_lipschitz_ok(pair, theta(0)) is True
+    assert terms_lipschitz_ok(pair, theta(1)) is False
+    assert terms_lipschitz_ok(ff([(t(1), t(4))]), theta(0)) is True
+    with pytest.raises(ValueError):
+        terms_lipschitz_ok(pair, NormValue.zero())
