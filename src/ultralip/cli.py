@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 from fractions import Fraction
+from functools import partial
 
 from .balltree import BallTree
 from .field import (
@@ -24,7 +25,7 @@ from .field import (
     Point,
 )
 from .geometry import cell_member, rho
-from .lipschitz import FiniteFunction, NotLipschitzError, first_violation
+from .lipschitz import NotLipschitzError, first_violation
 from .extension import (
     ExtendedFunction,
     ExtensionError,
@@ -44,6 +45,7 @@ from .generate import PROFILES, generate, sample_points
 from .serialize import (
     Instance,
     InstanceError,
+    emit_cut,
     emit_element,
     emit_instance,
     emit_rational,
@@ -63,6 +65,12 @@ def _verdict(name: str, ok: bool, witness=None) -> dict:
     if not ok:
         out["witness"] = witness if witness is not None else {}
     return out
+
+
+def _point_verdict(name: str, bad) -> dict:
+    """Pass when no point failed; else the failing point is the witness."""
+    return _verdict(name, bad is None,
+                    None if bad is None else {"x": bad.to_text()})
 
 
 def _pair_witness(x: Point, y: Point, fx, fy) -> dict:
@@ -91,14 +99,26 @@ def lipschitz_verdict(F: ExtendedFunction, samples: list[Point],
     return _verdict(name, False, _pair_witness(x, y, fx, fy))
 
 
-def extension_verdict(F: ExtendedFunction, fn: FiniteFunction,
-                      name: str = "extends-data") -> dict:
-    for p, v in fn.entries:
+def values_verdict(F: ExtendedFunction, pairs, name: str) -> dict:
+    """Whether F(p) == want for every (p, want) in pairs; a failing
+    verdict's witness is the first pair where they differ."""
+    for p, want in pairs:
         got = F(p)
-        if got != v:
-            return _verdict(name, False, {
-                "x": p.to_text(), "expected": emit_element(v),
-                "got": emit_element(got)})
+        if got != want:
+            return _verdict(name, False, {"x": p.to_text(),
+                                          "expected": emit_element(want),
+                                          "got": emit_element(got)})
+    return _verdict(name, True)
+
+
+def routes_verdict(G, samples: list[Point], values: list, name: str) -> dict:
+    """Whether a second evaluation route G gives the stored values of F
+    at the samples; a failing verdict's witness is the first sample
+    where they differ."""
+    for x, fx in zip(samples, values):
+        gx = G(x)
+        if fx != gx:
+            return _verdict(name, False, _pair_witness(x, x, fx, gx))
     return _verdict(name, True)
 
 
@@ -122,161 +142,112 @@ def configuration_verdict(cells, transport) -> dict:
     return _verdict(name, True)
 
 
-def origin_verdict(F: ExtendedFunction, olist) -> dict:
-    """Whether F takes its origin value e at every origin o, so that the
-    reduced part of the construction vanishes there."""
-    name = "origin-reduction-vanishes"
-    for o, e in olist:
-        got = F(o)
-        if got != e:
-            return _verdict(name, False, {"x": o.to_text(),
-                                          "expected": emit_element(e),
-                                          "got": emit_element(got)})
-    return _verdict(name, True)
+def _members(cell) -> list:
+    return [cell_member(cell, bi) for bi in range(len(cell.boxes))]
 
 
 # ---------------------------------------------------------------------------
 # Task runners
+#
+# A construction runner builds F, the (point, expected value) pairs F
+# must take, and samples anchored at those points (plus skeleton points
+# or origins).  It checks the pairs, evaluates F at the samples, then runs
+# its task's route, origin and configuration checks.
+
+
+def construct_extension(inst: Instance) -> ExtendedFunction:
+    """The extension F of a construction task: the one map from a task to
+    its construction."""
+    if inst.task == "extend-finite":
+        return extend_finite(inst.function)
+    if inst.task == "extend-cell":
+        return extend_cell_risometry_line(list(inst.cells), list(inst.pieces))
+    if inst.task == "extend-graphs":
+        return extend_graph_family_via_reduction(inst.family)
+    if inst.task == "glue":
+        if inst.parts is not None:
+            return glue_union(inst.parts)
+        return glue_vanishing(inst.glue_a, list(inst.glue_b),
+                              extend_finite(inst.glue_a))
+    raise InstanceError("$.task", f"{inst.task!r} has no extension to verify")
 
 
 def _run_extend_finite(inst: Instance, rng, window, count, epsilon):
     fn = inst.function
-    F = extend_finite(fn)
+    F = construct_extension(inst)
     samples = sample_points(rng, inst.field, fn.n, list(fn.domain()),
                             window, count)
-    verdicts = [extension_verdict(F, fn)]
+    verdicts = [values_verdict(F, fn.entries, "extends-data")]
     values = [F(x) for x in samples]
     verdicts.append(lipschitz_verdict(F, samples, values=values))
     if fn.n == 2:
-        nd = extend_finite_nd(fn)
-        ok, witness = True, None
-        for x, a in zip(samples[: max(10, count // 4)], values):
-            b = nd(x)
-            if a != b:
-                ok, witness = False, _pair_witness(x, x, a, b)
-                break
-        verdicts.append(_verdict("ladder-cross-check", ok, witness))
+        verdicts.append(routes_verdict(
+            extend_finite_nd(fn), samples[: max(10, count // 4)], values,
+            "ladder-cross-check"))
     if epsilon is not None:
-        Feps = epsilon_pipeline(fn, epsilon)
-        bound = NormValue.theta(-epsilon)
-        verdicts.append(extension_verdict(Feps, fn, "epsilon-extends-data"))
-        values = [Feps(x) for x in samples]
-        verdicts.append(lipschitz_verdict(Feps, samples, bound,
-                                          "epsilon-lipschitz-on-samples",
-                                          values))
-        F = Feps
+        F = epsilon_pipeline(fn, epsilon)
+        verdicts.append(values_verdict(F, fn.entries, "epsilon-extends-data"))
+        values = [F(x) for x in samples]
+        verdicts.append(lipschitz_verdict(
+            F, samples, NormValue.theta(-epsilon),
+            "epsilon-lipschitz-on-samples", values))
     return F, verdicts, samples, values
 
 
 def _run_extend_cell(inst: Instance, rng, window, count):
-    cells, pieces = list(inst.cells), list(inst.pieces)
-    F = extend_cell_risometry_line(cells, pieces)
+    F = construct_extension(inst)
     transport = F.extras["transport"]
-    skel_points = list(transport.source.points())
-    members = []
-    for cell in cells:
-        for bi in range(len(cell.boxes)):
-            members.append(cell_member(cell, bi))
-    anchors = [Point((x,)) for x in members + skel_points]
+    pairs = [(Point((m,)), a * m + b)
+             for cell, (a, b) in zip(inst.cells, inst.pieces)
+             for m in _members(cell)]
+    anchors = [p for p, _ in pairs] + [Point((x,)) for x in
+                                       transport.source.points()]
     samples = sample_points(rng, inst.field, 1, anchors, window, count)
-
-    ok, witness = True, None
-    for cell, (a, b) in zip(cells, pieces):
-        for bi in range(len(cell.boxes)):
-            m = cell_member(cell, bi)
-            got, want = F(Point((m,))), a * m + b
-            if got != want:
-                ok, witness = False, {"x": m.to_text(),
-                                      "expected": emit_element(want),
-                                      "got": emit_element(got)}
-    verdicts = [_verdict("extends-members", ok, witness)]
-
-    split = F.extras["split"]
+    verdicts = [values_verdict(F, pairs, "extends-members")]
     values = [F(x) for x in samples]
-    ok, witness = True, None
-    for x, a in zip(samples, values):
-        b = split(x)
-        if a != b:
-            ok, witness = False, _pair_witness(x, x, a, b)
-            break
-    verdicts.append(_verdict("split-route-agrees", ok, witness))
-    verdicts.append(configuration_verdict(cells, transport))
-    verdicts.append(lipschitz_verdict(F, samples, values=values))
+    verdicts += [routes_verdict(F.extras["split"], samples, values,
+                                "split-route-agrees"),
+                 configuration_verdict(inst.cells, transport),
+                 lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values
 
 
 def _run_extend_graphs(inst: Instance, rng, window, count):
     family = inst.family
-    F = extend_graph_family_via_reduction(family)
+    F = construct_extension(inst)
     olist, _ = origins(family)
-    graph_points = []
-    values = []
-    for ci, cell in enumerate(family.base_cells):
-        for bi in range(len(cell.boxes)):
-            x1 = cell_member(cell, bi)
-            for br in family.branches[ci]:
-                graph_points.append(Point((x1, br.phi(x1))))
-                values.append(br.value(x1))
-    anchors = graph_points + [o for o, _ in olist]
+    pairs = [(Point((x1, br.phi(x1))), br.value(x1))
+             for cell, branches in zip(family.base_cells, family.branches)
+             for x1 in _members(cell) for br in branches]
+    anchors = [p for p, _ in pairs] + [o for o, _ in olist]
     samples = sample_points(rng, inst.field, 2, anchors, window, count)
-
-    ok, witness = True, None
-    for p, v in zip(graph_points, values):
-        got = F(p)
-        if got != v:
-            ok, witness = False, {"x": p.to_text(),
-                                  "expected": emit_element(v),
-                                  "got": emit_element(got)}
-            break
+    verdicts = [values_verdict(F, pairs, "extends-graph-data")]
     values = [F(x) for x in samples]
-    verdicts = [_verdict("extends-graph-data", ok, witness),
-                origin_verdict(F, olist),
-                lipschitz_verdict(F, samples, values=values)]
+    verdicts += [values_verdict(F, olist, "origin-reduction-vanishes"),
+                 lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values
 
 
 def _run_glue(inst: Instance, rng, window, count):
+    F = construct_extension(inst)
     if inst.parts is not None:
-        combined = union_function(inst.parts)
-        F = glue_union(inst.parts)
-        anchors = list(combined.domain())
-        samples = sample_points(rng, inst.field, combined.n, anchors,
-                                window, count)
-        verdicts = [extension_verdict(F, combined)]
-        values = [F(x) for x in samples]
-        verdicts.append(lipschitz_verdict(F, samples, values=values))
-        return F, verdicts, samples, values
-
-    a, b_points = inst.glue_a, list(inst.glue_b)
-    base = extend_finite(a)
-    F = glue_vanishing(a, b_points, base)
-    anchors = list(a.domain()) + b_points
-    samples = sample_points(rng, inst.field, a.n, anchors, window, count)
-
-    ok, witness = True, None
-    b_set = set(b_points)
-    for p, v in a.entries:
-        want = a.field.zero() if p in b_set else v
-        got = F(p)
-        if got != want:
-            ok, witness = False, {"x": p.to_text(),
-                                  "expected": emit_element(want),
-                                  "got": emit_element(got)}
-            break
-    for p in b_points:
-        if ok and not F(p).is_zero:
-            ok, witness = False, {"x": p.to_text(), "expected": "0",
-                                  "got": emit_element(F(p))}
-    verdicts = [_verdict("glue-value-table", ok, witness)]
-
-    ok, witness = True, None
-    a_pts = list(a.domain())
-    for x in samples:
-        if glue_conditions(x, a_pts, b_points) \
-                != glue_conditions_pointwise(x, a_pts, b_points):
-            ok, witness = False, {"x": x.to_text()}
-            break
-    verdicts.append(_verdict("condition-routes-agree", ok, witness))
+        pairs, name = union_function(inst.parts).entries, "extends-data"
+    else:
+        b_points = list(inst.glue_b)
+        zero, b_set = inst.field.zero(), set(b_points)
+        pairs = [(p, zero if p in b_set else v)
+                 for p, v in inst.glue_a.entries] \
+            + [(p, zero) for p in b_points]
+        name = "glue-value-table"
+    samples = sample_points(rng, inst.field, F.n, [p for p, _ in pairs],
+                            window, count)
+    verdicts = [values_verdict(F, pairs, name)]
+    if inst.parts is None:
+        a_pts = list(inst.glue_a.domain())
+        bad = next((x for x in samples
+                    if glue_conditions(x, a_pts, b_points)
+                    != glue_conditions_pointwise(x, a_pts, b_points)), None)
+        verdicts.append(_point_verdict("condition-routes-agree", bad))
     values = [F(x) for x in samples]
     verdicts.append(lipschitz_verdict(F, samples, values=values))
     return F, verdicts, samples, values
@@ -288,23 +259,23 @@ def _run_skeleton(inst: Instance, rng, window, count):
     verdicts = [_verdict(name, ok, {"detail": msg} if not ok else None)
                 for name, ok, msg in check_skeleton(skel, cells)]
 
-    ok, witness = True, None
-    for (cell, _), moved in zip(skel.attachments, skel.recentered):
-        probes = [cell_member(cell, bi) for bi in range(len(cell.boxes))]
-        probes += [cell_member(moved, bi) for bi in range(len(moved.boxes))]
-        probes += [p for lv in skel.levels for p in lv.points]
-        for x in probes:
-            if cell.contains(x) != moved.contains(x):
-                ok, witness = False, {"x": x.to_text()}
-                break
-    verdicts.append(_verdict("member-sets-preserved", ok, witness))
+    bad = next((x for (cell, _), moved in zip(skel.attachments, skel.recentered)
+                for x in _members(cell) + _members(moved) + list(skel.points())
+                if cell.contains(x) != moved.contains(x)), None)
+    verdicts.append(_point_verdict("member-sets-preserved", bad))
 
     shuffled = cells[:]
     rng.shuffle(shuffled)
     other = build_skeleton(shuffled)
+
+    def shape(s):
+        return {"points": [emit_element(p) for p in s.points()],
+                "radii": [emit_cut(lv.radius) for lv in s.levels]}
+
     same = set(skel.points()) == set(other.points()) \
         and [lv.radius for lv in skel.levels] == [lv.radius for lv in other.levels]
-    verdicts.append(_verdict("permutation-invariant", same))
+    verdicts.append(_verdict("permutation-invariant", same, None if same else
+                             {"given": shape(skel), "shuffled": shape(other)}))
     return skel, verdicts
 
 
@@ -321,6 +292,9 @@ def _replay(inst: Instance, seed: int, count: int, window,
             epsilon) -> tuple[dict, ExtendedFunction | None]:
     """The report of one construction command, and its F (None for
     skeleton tasks; Feps when epsilon is given)."""
+    if epsilon is not None and inst.task != "extend-finite":
+        raise InstanceError("$.epsilon",
+                            f"a {inst.task} task takes no epsilon")
     rng = random.Random(seed * 9176 + 11)
     start = time.monotonic()
     caught: list[str] = []
@@ -333,18 +307,12 @@ def _replay(inst: Instance, seed: int, count: int, window,
             provenance = "skeleton"
             samples_out = []
         else:
-            if inst.task == "extend-finite":
-                F, verdicts, samples, values = _run_extend_finite(
-                    inst, rng, window, count, epsilon)
-            elif inst.task == "extend-cell":
-                F, verdicts, samples, values = _run_extend_cell(
-                    inst, rng, window, count)
-            elif inst.task == "extend-graphs":
-                F, verdicts, samples, values = _run_extend_graphs(
-                    inst, rng, window, count)
-            else:
-                F, verdicts, samples, values = _run_glue(
-                    inst, rng, window, count)
+            run = {"extend-finite": partial(_run_extend_finite,
+                                            epsilon=epsilon),
+                   "extend-cell": _run_extend_cell,
+                   "extend-graphs": _run_extend_graphs,
+                   "glue": _run_glue}[inst.task]
+            F, verdicts, samples, values = run(inst, rng, window, count)
             provenance = F.provenance
             report = {"extension": {"provenance": F.provenance,
                                     "description": F.description}}
@@ -371,21 +339,6 @@ def _replay(inst: Instance, seed: int, count: int, window,
 def run_instance(inst: Instance, seed: int, count: int, window,
                  epsilon) -> dict:
     return _replay(inst, seed, count, window, epsilon)[0]
-
-
-def construct_extension(inst: Instance) -> ExtendedFunction:
-    if inst.task == "extend-finite":
-        return extend_finite(inst.function)
-    if inst.task == "extend-cell":
-        return extend_cell_risometry_line(list(inst.cells), list(inst.pieces))
-    if inst.task == "extend-graphs":
-        return extend_graph_family_via_reduction(inst.family)
-    if inst.task == "glue":
-        if inst.parts is not None:
-            return glue_union(inst.parts)
-        return glue_vanishing(inst.glue_a, list(inst.glue_b),
-                              extend_finite(inst.glue_a))
-    raise InstanceError("$.task", f"{inst.task!r} has no extension to verify")
 
 
 def _positive_rational(s, path: str) -> Fraction:
@@ -531,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window_arg, default="-6,6",
                    help="exponent window lo,hi for sampling and generation")
     p.add_argument("--epsilon", type=_epsilon_arg, default=None,
-                   help="rational q > 0: also run the theta(-q) scaling pipeline")
+                   help="rational q > 0: extend-finite also runs the theta(-q) "
+                        "scaling pipeline")
     p.add_argument("--profile", choices=PROFILES, default="finite-line",
                    help="instance profile for generate")
     p.add_argument("--size", type=_int_from(1), default=None,
@@ -561,9 +515,12 @@ def _write_output(path: str | None, payload: dict):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
+    parser = build_parser()
+    args = parser.parse_args(
         _attach_window(sys.argv[1:] if argv is None else argv))
     window, epsilon = args.window, args.epsilon
+    if epsilon is not None and args.command not in ("extend-finite", "verify"):
+        parser.error(f"--epsilon applies to extend-finite, not {args.command}")
     try:
         if args.command == "generate":
             field = FieldDescriptor(args.field, args.prime)

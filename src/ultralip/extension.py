@@ -167,7 +167,7 @@ def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
         description={"a_size": len(list(a_targets)), "b_size": len(b_targets)})
 
 
-def _default_extender(f: FiniteFunction) -> ExtendedFunction:
+def _extend_part(f: FiniteFunction) -> ExtendedFunction:
     if f.n == 1:
         return extend_finite_line(f)
     return extend_finite_nd(f)
@@ -187,9 +187,7 @@ def union_function(parts: Sequence[FiniteFunction]) -> FiniteFunction:
     return FiniteFunction(n, entries)
 
 
-def glue_union(parts: Sequence[FiniteFunction],
-               extender: Callable[[FiniteFunction], ExtendedFunction] | None = None,
-               ) -> ExtendedFunction:
+def glue_union(parts: Sequence[FiniteFunction]) -> ExtendedFunction:
     """Extend a function given piecewise on finitely many parts.
 
     Follows the inductive composition: extend the last part, subtract it,
@@ -200,20 +198,18 @@ def glue_union(parts: Sequence[FiniteFunction],
     parts = list(parts)
     if not parts:
         raise ExtensionError("no parts to glue")
-    if extender is None:
-        extender = _default_extender
     combined = union_function(parts)
     require_one_lipschitz(combined, "the combined function")
     if len(parts) == 1:
-        return extender(parts[0])
+        return _extend_part(parts[0])
 
     last = parts[-1]
-    f_last = extender(last)
+    f_last = _extend_part(last)
     rest_parts = []
     for part in parts[:-1]:
         entries = tuple((p, v - f_last(p)) for p, v in part.entries)
         rest_parts.append(FiniteFunction(part.n, entries))
-    f_rest = glue_union(rest_parts, extender)
+    f_rest = glue_union(rest_parts)
     rest_domain = union_function(rest_parts)
     glued = glue_vanishing(rest_domain, last.domain(), f_rest, check=False)
     out = ext_sum(glued, f_last, "glue-union")
@@ -641,5 +637,4 @@ def epsilon_pipeline(f: FiniteFunction, q: Fraction) -> ExtendedFunction:
 
     return ExtendedFunction(
         f.n, field, "reduce-extend-restore", evaluate,
-        description={"epsilon_exponent": str(-q)},
-        extras={"epsilon": eps})
+        description={"epsilon_exponent": str(-q)})

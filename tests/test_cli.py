@@ -25,11 +25,12 @@ from ultralip.generate import (
     generate_vanishing_pair,
     sample_points,
 )
-from ultralip.geometry import Cell1D, cells_intersect
+from ultralip.geometry import Cell1D, cell_member, cells_intersect
 from ultralip.lipschitz import FiniteFunction, is_lipschitz
 from ultralip.serialize import (
     Instance,
     InstanceError,
+    emit_cut,
     emit_element,
     emit_instance,
     emit_rational,
@@ -281,6 +282,108 @@ def test_origin_verdict_sees_a_missing_origin_extension(monkeypatch):
     verdict = _named_verdict(report, "origin-reduction-vanishes")
     assert not verdict["pass"]
     assert verdict["witness"]["got"] != verdict["witness"]["expected"]
+
+
+def _off_by_one(F, where=lambda x: True):
+    """F with one added to its value at the points where holds."""
+    one = F.backend.one()
+    return dataclasses.replace(
+        F, evaluator=lambda x: F.evaluator(x) + one if where(x)
+        else F.evaluator(x))
+
+
+def test_extends_members_witness_is_the_first_failing_member(monkeypatch):
+    real = cli.extend_cell_risometry_line
+    monkeypatch.setattr(cli, "extend_cell_risometry_line",
+                        lambda cells, pieces: _off_by_one(real(cells, pieces)))
+    inst = generate_instance(0, "cells-line", T)
+    verdict = _named_verdict(run_instance(inst, 0, 10, (-6, 6), None),
+                             "extends-members")
+    cell, (a, b) = inst.cells[0], inst.pieces[0]
+    m = cell_member(cell, 0)
+    assert len(inst.cells) > 1 and verdict["witness"] == {
+        "x": [emit_element(m)], "expected": emit_element(a * m + b),
+        "got": emit_element(a * m + b + T.one())}
+
+
+@pytest.mark.parametrize("field", [T, P3])
+def test_glue_value_table_witness_at_a_b_point(monkeypatch, field):
+    inst = generate_vanishing_pair(2, field, n=1, a_size=4, b_size=2)
+    b0 = inst.glue_b[0]
+    evaluated = []
+    real = cli.glue_vanishing
+
+    def broken(a, b, base):
+        F = real(a, b, base)
+        G = _off_by_one(F, lambda x: x == b0)
+        inner = G.evaluator
+        return dataclasses.replace(
+            G, evaluator=lambda x: evaluated.append(x) or inner(x))
+
+    monkeypatch.setattr(cli, "glue_vanishing", broken)
+    report = run_instance(inst, 2, 10, (-6, 6), None)
+    verdict = _named_verdict(report, "glue-value-table")
+    assert verdict["witness"] == {"x": b0.to_text(),
+                                  "expected": emit_element(field.zero()),
+                                  "got": emit_element(field.one())}
+    assert verdict["witness"]["expected"] == ("0/1" if field is P3 else "(0)")
+    # once in the value table and once as a sampling anchor
+    assert evaluated.count(b0) == 2
+
+
+def test_permutation_invariant_failure_carries_both_skeletons(monkeypatch):
+    real = cli.build_skeleton
+    calls = []
+
+    def second_call_drops_a_level(cells):
+        calls.append(cells)
+        s = real(cells)
+        return s if len(calls) == 1 else dataclasses.replace(
+            s, levels=s.levels[:-1])
+
+    cells = generate_instance(0, "cells-line", T).cells
+    monkeypatch.setattr(cli, "build_skeleton", second_call_drops_a_level)
+    report = run_instance(Instance("skeleton", T, cells=cells), 0, 10,
+                          (-6, 6), None)
+    verdict = _named_verdict(report, "permutation-invariant")
+    given, shuffled = verdict["witness"]["given"], verdict["witness"]["shuffled"]
+    skel = real(cells)
+    assert given == {"points": [emit_element(p) for p in skel.points()],
+                     "radii": [emit_cut(lv.radius) for lv in skel.levels]}
+    assert len(skel.levels) > 1 and shuffled["radii"] == given["radii"][:-1]
+    assert set(shuffled["points"]) < set(given["points"])
+
+
+@pytest.mark.parametrize("command,profile", [
+    ("extend-cell", "cells-line"), ("extend-graphs", "graphs"),
+    ("glue", None), ("skeleton", "cells-line"), ("generate", None)])
+def test_epsilon_is_a_usage_error_outside_extend_finite(tmp_path, command,
+                                                        profile):
+    if profile is None:
+        payload = emit_instance(generate_vanishing_pair(3, T))
+    else:
+        payload = generate(3, profile)
+    if command == "skeleton":
+        payload["task"] = "skeleton"
+        del payload["pieces"]
+    inst_path = _write(tmp_path, "inst.json", payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([command, "-i", inst_path, "--epsilon", "1"])
+    assert exc.value.code == 2
+    assert "--epsilon" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_verify_refuses_an_epsilon_on_another_task(tmp_path):
+    rc, out_path = _report(tmp_path, generate(3, "cells-line"), "extend-cell",
+                           "--samples", "5")
+    report = json.loads(open(out_path).read())
+    assert rc == 0 and report["epsilon"] is None
+    report["epsilon"] = "1"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["verify", "-i", _write(tmp_path, "in.json", report)])
+    assert rc == 2 and "$.epsilon" in err.getvalue()
 
 
 def test_generate_singleton_profile():
