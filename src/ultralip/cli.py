@@ -486,15 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_epsilon_arg, default=None,
                    help="rational q > 0: extend-finite also runs the theta(-q) "
                         "scaling pipeline")
-    p.add_argument("--profile", choices=PROFILES, default="finite-line",
-                   help="instance profile for generate")
+    p.add_argument("--profile", choices=PROFILES, default=None,
+                   help="instance profile for generate (default finite-line)")
     p.add_argument("--size", type=_int_from(1), default=None,
                    help="instance size hint (>= 1) for generate")
-    p.add_argument("--field", default="t-adic",
+    p.add_argument("--field", default=None,
                    choices=("t-adic", "puiseux", "p-adic"),
-                   help="field backend for generate")
+                   help="field backend for generate (default t-adic)")
     p.add_argument("--prime", type=int, default=None,
-                   help="prime for the p-adic backend")
+                   help="prime of the p-adic backend for generate")
     return p
 
 
@@ -521,12 +521,18 @@ def main(argv=None) -> int:
     window, epsilon = args.window, args.epsilon
     if epsilon is not None and args.command not in ("extend-finite", "verify"):
         parser.error(f"--epsilon applies to extend-finite, not {args.command}")
+    if args.command != "generate":
+        # generate's options default to None, so any use elsewhere shows
+        for flag in ("profile", "size", "field", "prime"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} applies to generate, "
+                             f"not {args.command}")
     try:
         if args.command == "generate":
-            field = FieldDescriptor(args.field, args.prime)
+            field = FieldDescriptor(args.field or "t-adic", args.prime)
             try:
-                payload = generate(args.seed, args.profile, field,
-                                   args.size, window)
+                payload = generate(args.seed, args.profile or "finite-line",
+                                   field, args.size, window)
             except RuntimeError as e:  # no sound instance within its tries
                 print(f"generate gave up: {e}", file=sys.stderr)
                 return 2

@@ -604,7 +604,8 @@ class FieldElement:
         if self.den == other.den:
             got = _first_diff_term(self.num, other.num)
             return NormValue.zero() if got is None else NormValue(got[0])
-        return (self - other).norm()
+        num = _cross_numerator(self, other)
+        return NormValue(_ord(num)) if num else NormValue.zero()
 
     def lead_of_difference(self, other: "FieldElement") -> tuple:
         """The leading term of self - other as (exponent, residue).
@@ -615,7 +616,11 @@ class FieldElement:
         the same residue iff they differ by an element of norm below
         theta(e).  Integral values come as ints, which compare and hash
         faster than Fractions.  Same-denominator operands take the
-        norm_of_difference term scan.
+        norm_of_difference term scan.  Operands with different
+        denominators take the first term of the cross-multiplied numerator
+        self.num*other.den - other.num*self.den: the product of canonical
+        denominators has order 0 and constant term 1, so that term leads
+        the difference, and no gcd or canonical form is computed.
         """
         self._check(other)
         f = self.field
@@ -628,10 +633,11 @@ class FieldElement:
                 return math.inf, None
             e, ca, cb = got
             c = ca - cb
-        elif self == other:
-            return math.inf, None
         else:
-            e, c = (self - other).num[0]  # den is canonical: order 0, lead 1
+            num = _cross_numerator(self, other)
+            if not num:
+                return math.inf, None
+            e, c = num[0]
         return (e.numerator if e.denominator == 1 else e,
                 c.numerator if c.denominator == 1 else c)
 
@@ -656,6 +662,13 @@ class FieldElement:
         if self.field.is_series:
             return head + (self.num, self.den)
         return head + (self.rational,)
+
+
+def _cross_numerator(a: FieldElement, b: FieldElement) -> Poly:
+    """a.num*b.den - b.num*a.den, the unreduced numerator of a - b over
+    a.den*b.den; it leads as a - b does (see lead_of_difference) and is
+    empty iff a == b."""
+    return _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den)))
 
 
 def _first_diff_term(a: Poly, b: Poly):

@@ -374,6 +374,24 @@ def test_epsilon_is_a_usage_error_outside_extend_finite(tmp_path, command,
     assert "--epsilon" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--profile", "graphs"), ("--size", "3"), ("--field", "p-adic"),
+    ("--prime", "5")])
+@pytest.mark.parametrize("command", ["extend-finite", "verify"])
+def test_generate_flags_are_a_usage_error_elsewhere(tmp_path, command, flag,
+                                                    value):
+    rc, path = _report(tmp_path, generate(3, "finite-line"), "extend-finite",
+                       "--samples", "5")
+    assert rc == 0
+    if command == "extend-finite":
+        path = str(tmp_path / "inst.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main([command, "-i", path, flag, value])
+    assert exc.value.code == 2
+    assert flag in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_verify_refuses_an_epsilon_on_another_task(tmp_path):
     rc, out_path = _report(tmp_path, generate(3, "cells-line"), "extend-cell",
                            "--samples", "5")

@@ -1,11 +1,13 @@
 """Field arithmetic, norms, leading terms, and averages."""
 
+import math
 import time
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultralip import field
 from ultralip.field import (
     BackendMismatchError,
     FieldDescriptor,
@@ -261,3 +263,70 @@ def test_padic_ultrametric(x, y):
     a, b = P3.from_rational(x), P3.from_rational(y)
     assert (a + b).norm() <= max(a.norm(), b.norm())
     assert (a * b).norm() == a.norm() * b.norm()
+
+
+# -- differences across denominators -----------------------------------------
+
+# 1+t, 1-t^2 and, on puiseux only, 1+t^(1/2)
+UNIT_DENOMINATORS = {
+    T: (((0, 1), (1, 1)), ((0, 1), (2, -1))),
+    PX: (((0, 1), (1, 1)), ((0, 1), (2, -1)), ((0, 1), (Q(1, 2), 1))),
+}
+
+
+@st.composite
+def series_elements(draw, fd):
+    """A Laurent polynomial in t (t^(1/6) on puiseux), divided by one or
+    two of the field's unit denominators or by none."""
+    if fd is T:
+        exps = exponents
+    else:
+        exps = st.builds(Q, st.integers(min_value=-12, max_value=12),
+                         st.sampled_from((1, 2, 3, 6)))
+    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=3))
+    x = fd.from_terms(terms)
+    dens = draw(st.lists(st.sampled_from(UNIT_DENOMINATORS[fd]), max_size=2))
+    for den in dens:
+        x = x / fd.from_terms(den)
+    return x
+
+
+def _canonical_lead(d):
+    """The leading term of a canonical element as lead_of_difference gives
+    it, exponent and coefficient as ints where integral."""
+    if d.is_zero:
+        return math.inf, None
+    return tuple(v.numerator if v.denominator == 1 else v for v in d.num[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((T, PX)))
+def test_difference_leads_match_the_canonical_difference(data, fd):
+    a = data.draw(series_elements(fd))
+    # b far from a, equal to it, or a plus an element that may cancel
+    # any number of a's leading terms; a + d often has another denominator
+    b = data.draw(st.one_of(series_elements(fd), st.just(a),
+                            series_elements(fd).map(lambda d: a + d)))
+    d = a - b
+    lead, want = a.lead_of_difference(b), _canonical_lead(d)
+    assert lead == want and list(map(type, lead)) == list(map(type, want))
+    assert a.norm_of_difference(b) == d.norm()
+
+
+def test_cross_denominator_differences_run_no_gcd(monkeypatch):
+    one_t = T.one() + t(1)
+    pairs = [((T.one() + t(2)) / one_t, T.one() / (T.one() - t(2))),
+             (t(-1) / one_t, t(-1) + t(3)),
+             (PX.one() / PX.from_terms([(0, 1), (Q(1, 2), 1)]),
+              PX.one() / PX.from_terms([(0, 1), (1, 1)]))]
+    assert all(a.den != b.den for a, b in pairs)
+    calls = []
+    gcd = field._pgcd_int
+    monkeypatch.setattr(field, "_pgcd_int",
+                        lambda p, q: calls.append(1) or gcd(p, q))
+    for a, b in pairs:
+        a.lead_of_difference(b)
+        a.norm_of_difference(b)
+    assert calls == []
+    pairs[0][0] - pairs[0][1]  # the canonical difference runs the gcd
+    assert calls

@@ -13,6 +13,11 @@ these, with `timing_ms` removed as well:
 - `.epsilon.json`: for `finite-line` and `finite-plane`, the report with
   `--epsilon 1`.
 
+The `unit-finite-line` and `unit-finite-plane` cases (series backends)
+map a generated instance by x -> u*x, f -> u*f with u = 1/(1+t), so their
+elements carry the denominator 1+t and differences cross denominators;
+they store the same four files as their unmapped profiles.
+
 To rewrite the corpus after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -27,16 +32,18 @@ import pytest
 
 from ultralip.cli import run_instance, run_verify
 from ultralip.extension import ExtensionError
-from ultralip.field import FieldDescriptor
-from ultralip.generate import PROFILES, generate, generate_vanishing_pair
-from ultralip.lipschitz import NotLipschitzError
-from ultralip.serialize import emit_instance, parse_instance
+from ultralip.field import FieldDescriptor, Point
+from ultralip.generate import (PROFILES, generate, generate_instance,
+                               generate_vanishing_pair)
+from ultralip.lipschitz import FiniteFunction, NotLipschitzError
+from ultralip.serialize import Instance, emit_instance, parse_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 BACKENDS = {"t-adic": FieldDescriptor("t-adic"),
             "puiseux": FieldDescriptor("puiseux"),
             "p-adic-3": FieldDescriptor("p-adic", 3)}
 SEEDS = (0, 1, 2)
+UNIT_PROFILES = ("finite-line", "finite-plane")
 REPORT_SEED, REPORT_SAMPLES, WINDOW = 0, 20, (-6, 6)
 
 
@@ -46,10 +53,24 @@ def _cases():
             for profile in PROFILES:
                 yield backend, f"{profile}-{seed}"
             yield backend, f"vanishing-{seed}"
+            if BACKENDS[backend].is_series:
+                for profile in UNIT_PROFILES:
+                    yield backend, f"unit-{profile}-{seed}"
 
 
 def _text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _unit_map(inst: Instance) -> Instance:
+    """Map x -> u*x, f -> u*f with u = 1/(1+t), a norm-one unit; the data
+    stays 1-Lipschitz, since multiplying by a unit is an isometry."""
+    f = inst.field
+    u = f.one() / (f.one() + f.monomial(1))
+    fn = inst.function
+    entries = tuple((Point(tuple(u * c for c in p.coords)), u * v)
+                    for p, v in fn.entries)
+    return Instance("extend-finite", f, function=FiniteFunction(fn.n, entries))
 
 
 def _instance(backend: str, name: str) -> dict:
@@ -57,6 +78,9 @@ def _instance(backend: str, name: str) -> dict:
     field = BACKENDS[backend]
     if kind == "vanishing":
         return emit_instance(generate_vanishing_pair(int(seed), field))
+    if kind.startswith("unit-"):
+        return emit_instance(_unit_map(
+            generate_instance(int(seed), kind.removeprefix("unit-"), field)))
     return generate(int(seed), kind, field)
 
 
@@ -90,7 +114,7 @@ def _files(backend: str, name: str) -> dict[Path, str]:
         skeleton = {**json.loads(instance), "task": "skeleton"}
         del skeleton["pieces"]
         files[base.with_suffix(".skeleton.json")] = _text(_report(skeleton))
-    if kind in ("finite-line", "finite-plane"):
+    if kind.removeprefix("unit-") in ("finite-line", "finite-plane"):
         files[base.with_suffix(".epsilon.json")] = _text(
             _report(instance, Fraction(1)))
     return files
