@@ -16,7 +16,6 @@ import warnings
 from fractions import Fraction
 from functools import partial
 
-from .balltree import BallTree
 from .field import (
     NORM_ONE,
     FieldDescriptor,
@@ -84,14 +83,11 @@ def lipschitz_verdict(F: ExtendedFunction, samples: list[Point],
                       values: list | None = None) -> dict:
     """Whether |F(x) - F(y)| <= bound * |x - y| on the samples.
 
-    values, if given, are F at the samples.  The ball tree of the samples
-    decides; a failing verdict rescans the pairs in order, so its witness
+    values, if given, are F at the samples.  A failing verdict's witness
     is the first violating pair.
     """
     if values is None:
         values = [F(x) for x in samples]
-    if BallTree(samples).lipschitz_ok(values, bound.exponent):
-        return _verdict(name, True)
     violation = first_violation(list(zip(samples, values)), bound)
     if violation is None:
         return _verdict(name, True)

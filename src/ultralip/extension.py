@@ -28,6 +28,7 @@ from .geometry import Cell1D, cell_member, cells_intersect, dist_to_set
 from .balltree import Ball, BallTree
 from .lipschitz import (
     FiniteFunction,
+    NotLipschitzError,
     require_one_lipschitz,
     reduce_to_risometry,
     restore_value,
@@ -58,12 +59,13 @@ class ExtendedFunction:
         return self.evaluator(x)
 
 
-def ext_sum(a: ExtendedFunction, b: ExtendedFunction,
-            provenance: str) -> ExtendedFunction:
+def ext_sum(a: ExtendedFunction, b: ExtendedFunction, provenance: str,
+            description: dict) -> ExtendedFunction:
     if a.n != b.n or a.backend != b.backend:
         raise ExtensionError("summands do not match")
     return ExtendedFunction(a.n, a.backend, provenance,
-                            lambda x: a.evaluator(x) + b.evaluator(x))
+                            lambda x: a.evaluator(x) + b.evaluator(x),
+                            description)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +169,6 @@ def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
         description={"a_size": len(list(a_targets)), "b_size": len(b_targets)})
 
 
-def _extend_part(f: FiniteFunction) -> ExtendedFunction:
-    if f.n == 1:
-        return extend_finite_line(f)
-    return extend_finite_nd(f)
-
-
 def union_function(parts: Sequence[FiniteFunction]) -> FiniteFunction:
     n = parts[0].n
     merged: dict[Point, FieldElement] = {}
@@ -201,10 +197,10 @@ def glue_union(parts: Sequence[FiniteFunction]) -> ExtendedFunction:
     combined = union_function(parts)
     require_one_lipschitz(combined, "the combined function")
     if len(parts) == 1:
-        return _extend_part(parts[0])
+        return extend_finite_nd(parts[0])
 
     last = parts[-1]
-    f_last = _extend_part(last)
+    f_last = extend_finite_nd(last)
     rest_parts = []
     for part in parts[:-1]:
         entries = tuple((p, v - f_last(p)) for p, v in part.entries)
@@ -212,39 +208,33 @@ def glue_union(parts: Sequence[FiniteFunction]) -> ExtendedFunction:
     f_rest = glue_union(rest_parts)
     rest_domain = union_function(rest_parts)
     glued = glue_vanishing(rest_domain, last.domain(), f_rest, check=False)
-    out = ext_sum(glued, f_last, "glue-union")
-    return ExtendedFunction(out.n, out.backend, "glue-union", out.evaluator,
-                            description={"parts": len(parts)})
+    return ext_sum(glued, f_last, "glue-union", {"parts": len(parts)})
 
 
 # ---------------------------------------------------------------------------
 # The distance ladder over the first coordinate
 
 
-def _combine(privileged: dict, others: Sequence[dict], delta: NormValue) -> dict:
+def _combine(privileged: dict, others: Sequence[dict], ball_of: dict) -> dict:
     """Merge sibling fiber data around a privileged fiber at one scale.
 
-    Privileged entries are kept verbatim; foreign points within the open
-    delta-neighbourhood of the privileged fiber are dropped, and the rest
-    are averaged over open delta-balls, every point of a ball receiving
-    the ball average (counted with multiplicity across siblings).
+    ball_of labels every key with its open ball at the scale.  Privileged
+    entries are kept verbatim; foreign keys in a ball that holds a
+    privileged key are dropped, and the rest are averaged by ball, every
+    key of a ball receiving the ball average (counted with multiplicity
+    across siblings).
     """
     merged = dict(privileged)
-    kept = []
+    held = {ball_of[e] for e in privileged}
+    balls: dict[Ball, tuple[list, list]] = {}
     for data in others:
-        for w in sorted(data, key=lambda k: k.sort_key()):
-            if all(not w.norm_of_difference(e) < delta for e in privileged):
-                kept.append((w, data[w]))
-    balls: list[tuple[list, list]] = []
-    for w, val in kept:
-        for pts, vals in balls:
-            if w.norm_of_difference(pts[0]) < delta:
+        for w, val in sorted(data.items(), key=lambda kv: kv[0].sort_key()):
+            ball = ball_of[w]
+            if ball not in held:
+                pts, vals = balls.setdefault(ball, ([], []))
                 pts.append(w)
                 vals.append(val)
-                break
-        else:
-            balls.append(([w], [val]))
-    for pts, vals in balls:
+    for pts, vals in balls.values():
         avg = integer_average(vals)
         for w in pts:
             merged[w] = avg
@@ -254,14 +244,16 @@ def _combine(privileged: dict, others: Sequence[dict], delta: NormValue) -> dict
 class _Ladder:
     """Staged fiber data along the ball tree of the base points.
 
-    Every node carries a frozen combined fiber (its class data).  A stage
-    piece is indexed by a parent node and one of its children: it applies
-    when the base coordinate lies in the child's open strip at the parent
-    scale and the fiber coordinate lies within the parent scale of the
-    class grid.  Evaluation walks to the finest applicable piece; when no
-    piece below the root applies, the root's frozen data decides, making
-    the value independent of the base coordinate far out.  Each piece's
-    data is extended along the fiber once, by extend_fiber.
+    A stage piece is indexed by a parent node and one of its children: it
+    applies when the base coordinate lies in the child's open strip at the
+    parent scale and the fiber coordinate lies within the parent scale of
+    the class grid.  Its data is the child's class data combined with its
+    siblings' at the parent scale; a node's class data is the data of its
+    piece at its first child, or its fiber for a leaf.  Evaluation walks
+    to the finest applicable piece; when no piece below the root applies,
+    the piece (None, root), the root's class data, decides, making the
+    value independent of the base coordinate far out.  Each piece's data
+    is extended along the fiber once, by extend_fiber.
     """
 
     def __init__(self, bases: list, fibers: list[dict], extend_fiber):
@@ -270,32 +262,44 @@ class _Ladder:
         self.fibers = fibers
         self.extend_fiber = extend_fiber
         self.tree = BallTree(bases)
-        self._data: dict[int, dict] = {}
-        self._grid: dict[int, BallTree] = {}
+        self._data: dict[tuple, dict] = {}
+        self._grid: dict[int, tuple[BallTree, dict]] = {}
         self._pieces: dict[tuple, Callable] = {}
 
-    def _data_of(self, node: Ball) -> dict:
-        got = self._data.get(id(node))
-        if got is not None:
-            return got
-        if not node.children:
-            data = self.fibers[node.center]
-        else:
-            children = list(node.children.values())
-            others = [self._data_of(c) for c in children[1:]]
-            data = _combine(self._data_of(children[0]), others,
-                            NormValue.theta(node.radius))
-        self._data[id(node)] = data
-        return data
+    def _data_of(self, parent: Ball | None, node: Ball) -> dict:
+        """The data of the piece (parent, node), built once."""
+        if parent is None:
+            if not node.children:
+                return self.fibers[node.center]
+            parent, node = node, next(iter(node.children.values()))
+        key = (id(parent), id(node))
+        got = self._data.get(key)
+        if got is None:
+            others = [self._data_of(None, c) for c in parent.children.values()
+                      if c is not node]
+            got = _combine(self._data_of(None, node), others,
+                           self._grid_of(parent)[1])
+            self._data[key] = got
+        return got
 
-    def _grid_of(self, node: Ball) -> BallTree:
+    def _grid_of(self, node: Ball) -> tuple[BallTree, dict]:
+        """The ball tree of the fiber keys over node, and each key's open
+        ball of radius theta(node.radius): the first tree node on the
+        key's path whose radius exponent exceeds node.radius."""
         got = self._grid.get(id(node))
         if got is None:
-            keys = set()
-            for i in node.members:
-                keys.update(self.fibers[i])
-            got = BallTree(sorted(keys, key=lambda k: k.sort_key()))
-            self._grid[id(node)] = got
+            keys = sorted({k for i in node.members for k in self.fibers[i]},
+                          key=lambda k: k.sort_key())
+            tree = BallTree(keys)
+            ball_of = {}
+            stack = [tree.root]
+            while stack:
+                ball = stack.pop()
+                if ball.radius > node.radius:
+                    ball_of.update((keys[m], ball) for m in ball.members)
+                else:
+                    stack.extend(ball.children.values())
+            got = self._grid[id(node)] = tree, ball_of
         return got
 
     def view(self, u, v) -> Callable:
@@ -306,21 +310,14 @@ class _Ladder:
             child = self.tree.child_toward(current, u)
             if child is None:
                 break
-            _, d = self._grid_of(current).locate(v)
+            _, d = self._grid_of(current)[0].locate(v)
             if not d > current.radius:
                 break
             parent, current = current, child
         key = (id(parent), id(current))
         got = self._pieces.get(key)
         if got is None:
-            if parent is None:
-                data = self._data_of(current)
-            else:
-                others = [self._data_of(c) for c in parent.children.values()
-                          if c is not current]
-                data = _combine(self._data_of(current), others,
-                                NormValue.theta(parent.radius))
-            got = self.extend_fiber(data)
+            got = self.extend_fiber(self._data_of(parent, current))
             self._pieces[key] = got
         return got
 
@@ -366,7 +363,14 @@ def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
 
     def extend_fiber(data: dict) -> Callable:
         entries = tuple(sorted(data.items(), key=lambda kv: kv[0].sort_key()))
-        return extend_finite_nd(FiniteFunction(f.n - 1, entries)).evaluator
+        try:
+            return extend_finite_nd(FiniteFunction(f.n - 1, entries)).evaluator
+        except NotLipschitzError as e:  # f passed, so averaging broke it
+            fiber = [p.to_text() for p, _ in entries]
+            raise NotLipschitzError(
+                f"the ladder's combined fiber {fiber} is not 1-Lipschitz; the "
+                f"input is, but averaging over a count divisible by p can "
+                f"raise norms", e.witness) from None
 
     ladder = _Ladder(bases, fibers, extend_fiber)
 
@@ -606,10 +610,8 @@ def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
         return br.value(x1) - g(Point((x1, br.phi(x1))))
 
     reduced = _fiberwise(family, reduced_value)
-    total = ext_sum(reduced, g, "graph-fiberwise-reduced")
-    return ExtendedFunction(2, family.field, "graph-fiberwise-reduced",
-                            total.evaluator,
-                            description={"origins": len(olist)})
+    return ext_sum(reduced, g, "graph-fiberwise-reduced",
+                   {"origins": len(olist)})
 
 
 # ---------------------------------------------------------------------------

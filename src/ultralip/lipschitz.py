@@ -93,7 +93,11 @@ def _pair_ratios(pairs: Sequence[tuple]):
 
 
 def first_violation(pairs: Sequence[tuple], eps: NormValue):
-    """The first two (key, value) pairs whose ratio exceeds eps, or None."""
+    """The first two (key, value) pairs whose ratio exceeds eps, or None;
+    the ball tree decides, and only a failing set is scanned pair by pair."""
+    if BallTree([p for p, _ in pairs]).lipschitz_ok(
+            [v for _, v in pairs], eps.exponent):
+        return None
     return next(((a, b) for a, b, ratio in _pair_ratios(pairs)
                  if ratio > eps), None)
 
@@ -191,16 +195,12 @@ def terms_lipschitz_ok(f: FiniteFunction, eps: NormValue) -> bool | None:
 
 
 def require_one_lipschitz(f: FiniteFunction, what: str = "input") -> None:
-    """Raise NotLipschitzError unless f is 1-Lipschitz.
-
-    The ball tree decides; only a failing function is rescanned pair by
-    pair, so the witness is the first violating pair.
-    """
-    tree = BallTree(f.domain())
-    if tree.lipschitz_ok([v for _, v in f.entries], NORM_ONE.exponent):
-        return
-    (p, _), (q, _) = first_violation(f.entries, NORM_ONE)
-    raise NotLipschitzError(f"{what} is not 1-Lipschitz", witness=(p, q))
+    """Raise NotLipschitzError unless f is 1-Lipschitz; the witness is
+    the first violating pair."""
+    violation = first_violation(f.entries, NORM_ONE)
+    if violation is not None:
+        (p, _), (q, _) = violation
+        raise NotLipschitzError(f"{what} is not 1-Lipschitz", witness=(p, q))
 
 
 def risometry_check(f: FiniteFunction, axes: Iterable[int] | None = None):

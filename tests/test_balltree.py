@@ -152,6 +152,17 @@ def test_lipschitz_verdict_matches_pair_loop(data):
     assert lipschitz_verdict(F, samples, bound, "v", values) == want
 
 
+def test_guard_and_verdict_share_one_decision(monkeypatch):
+    # a tree that fails while the pair scan finds no violating pair: the
+    # build guard and the CLI verdict must both pass, not part ways
+    monkeypatch.setattr(BallTree, "lipschitz_ok", lambda *args: False)
+    pts = [Point((T.monomial(e),)) for e in (0, 1, 2)]
+    f = FiniteFunction(1, tuple((p, p.coords[0]) for p in pts))
+    require_one_lipschitz(f)
+    F = ExtendedFunction(1, T, "identity", lambda x: x.coords[0])
+    assert lipschitz_verdict(F, pts)["pass"]
+
+
 def test_tree_shape():
     keys = [T.zero(), T.monomial(2), T.monomial(1), T.monomial(1, 2)]
     tree = BallTree(keys)

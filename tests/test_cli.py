@@ -626,3 +626,25 @@ def test_generate_giving_up_exits_2(tmp_path):
     # fewer than the eight distinct points asked for
     assert main(["generate", "--window", "0,0", "--size", "8",
                  "-o", str(tmp_path / "i.json")]) == 2
+
+
+@pytest.mark.parametrize("seed,size", [(0, 8), (4, 16)])
+def test_combined_fiber_refusal_names_the_fiber(tmp_path, seed, size):
+    # the generated data is 1-Lipschitz, but the nd ladder's p-adic
+    # averages give a combined fiber that is not: the refusal must blame
+    # that fiber, not the input
+    inst_path = str(tmp_path / "i.json")
+    assert main(["generate", "--seed", str(seed), "--profile", "finite-nd",
+                 "--size", str(size), "--field", "p-adic", "--prime", "3",
+                 "-o", inst_path]) == 0
+    inst = parse_instance(open(inst_path).read())
+    assert is_lipschitz(inst.function, NORM_ONE).ok
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["extend-finite", "-i", inst_path,
+                   "-o", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "combined fiber" in err.getvalue()
+    assert "input is not" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,10 +1,22 @@
 """Extension operators: line averaging, gluing, ladders, cells, graphs."""
 
+import json
+import warnings
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultralip.field import CutValue, FieldDescriptor, NormValue, Point
+from ultralip.cli import run_instance
+from ultralip.field import (
+    CutValue,
+    FieldDescriptor,
+    FieldElement,
+    NormValue,
+    Point,
+    integer_average,
+)
+from ultralip.generate import generate
 from ultralip.geometry import AnnulusBox, Cell1D, CutValue, ExactBox
 from ultralip.lipschitz import (
     FiniteFunction,
@@ -27,9 +39,14 @@ from ultralip.extension import (
     glue_union,
     glue_vanishing,
     origins,
+    _combine,
+    _Ladder,
 )
+from ultralip.serialize import parse_instance
 
 T = FieldDescriptor("t-adic")
+PX = FieldDescriptor("puiseux")
+P3 = FieldDescriptor("p-adic", prime=3)
 theta = NormValue.theta
 
 
@@ -215,6 +232,100 @@ def test_nd_matches_plane_ladder():
         for b in elems:
             x = pt(a, b)
             assert plane(x) == nd(x)
+
+
+def _pairwise_combine(privileged, others, delta):
+    """The combine the ladder ran before it read open balls off the fiber
+    tree: a pairwise scan against the privileged keys, then first-fit
+    buckets.  The reference for _combine."""
+    merged = dict(privileged)
+    kept = []
+    for data in others:
+        for w in sorted(data, key=lambda k: k.sort_key()):
+            if all(not w.norm_of_difference(e) < delta for e in privileged):
+                kept.append((w, data[w]))
+    balls = []
+    for w, val in kept:
+        for pts, vals in balls:
+            if w.norm_of_difference(pts[0]) < delta:
+                pts.append(w)
+                vals.append(val)
+                break
+        else:
+            balls.append(([w], [val]))
+    for pts, vals in balls:
+        avg = integer_average(vals)
+        for w in pts:
+            merged[w] = avg
+    return merged
+
+
+# few exponents and coefficients, so that keys share leading terms and
+# grid radii often equal base radii
+@st.composite
+def _ladder_elements(draw, field):
+    if field == P3:
+        return P3.from_rational(Q(draw(st.sampled_from([0, 1, 2, -1, 3, 6, 9])),
+                                  draw(st.sampled_from([1, 3, 9]))))
+    step = Q(1) if field == T else Q(1, 2)
+    return field.from_terms([(draw(st.integers(-1, 2)) * step,
+                              draw(st.sampled_from([1, -1, 2])))
+                             for _ in range(draw(st.integers(0, 2)))])
+
+
+@st.composite
+def _ladders(draw):
+    field = draw(st.sampled_from([T, PX, P3]))
+    dim = draw(st.sampled_from([1, 2]))
+    key = _ladder_elements(field)
+    if dim == 2:
+        key = st.tuples(key, key).map(Point)
+    pool = draw(st.lists(key, min_size=1, max_size=8, unique=True))
+    bases = draw(st.lists(_ladder_elements(field), min_size=2, max_size=6,
+                          unique=True))
+    bases.sort(key=lambda b: b.sort_key())
+    # siblings draw their keys from one pool, so their fibers overlap
+    fibers = [{k: draw(_ladder_elements(field))
+               for k in draw(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=5, unique=True))}
+              for _ in bases]
+    return _Ladder(bases, fibers, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ladders())
+def test_combine_by_tree_balls_matches_pairwise_combine(ladder):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        for parent in ladder.tree.nodes:
+            if not parent.children:
+                continue
+            ball_of = ladder._grid_of(parent)[1]
+            children = list(parent.children.values())
+            datas = [ladder._data_of(None, c) for c in children]
+            for i, child in enumerate(children):
+                others = datas[:i] + datas[i + 1:]
+                got = _combine(datas[i], others, ball_of)
+                want = _pairwise_combine(datas[i], others,
+                                         theta(parent.radius))
+                assert list(got.items()) == list(want.items())
+                assert ladder._data_of(parent, child) == got
+
+
+def test_ladder_combine_costs_few_differences(monkeypatch):
+    # the pairwise combine made 2,701 differences on this run
+    inst = parse_instance(json.dumps(generate(1, "finite-plane", T, 48)))
+    calls = 0
+    difference = FieldElement.norm_of_difference
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return difference(a, b)
+
+    monkeypatch.setattr(FieldElement, "norm_of_difference", counted)
+    run_instance(inst, 1, 60, (-6, 6), None)
+    assert calls <= 1000
 
 
 def test_nd_three_dims():

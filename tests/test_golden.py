@@ -18,6 +18,10 @@ map a generated instance by x -> u*x, f -> u*f with u = 1/(1+t), so their
 elements carry the denominator 1+t and differences cross denominators;
 they store the same four files as their unmapped profiles.
 
+The `deep-finite-plane` (24 points) and `deep-finite-nd` (8 points)
+cases are generated at a fixed size, so their ladders are several
+levels deep; they store the instance, the report and `.verify.json`.
+
 To rewrite the corpus after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -44,6 +48,7 @@ BACKENDS = {"t-adic": FieldDescriptor("t-adic"),
             "p-adic-3": FieldDescriptor("p-adic", 3)}
 SEEDS = (0, 1, 2)
 UNIT_PROFILES = ("finite-line", "finite-plane")
+DEEP_SIZES = {"finite-plane": 24, "finite-nd": 8}
 REPORT_SEED, REPORT_SAMPLES, WINDOW = 0, 20, (-6, 6)
 
 
@@ -53,6 +58,8 @@ def _cases():
             for profile in PROFILES:
                 yield backend, f"{profile}-{seed}"
             yield backend, f"vanishing-{seed}"
+            for profile in DEEP_SIZES:
+                yield backend, f"deep-{profile}-{seed}"
             if BACKENDS[backend].is_series:
                 for profile in UNIT_PROFILES:
                     yield backend, f"unit-{profile}-{seed}"
@@ -81,6 +88,9 @@ def _instance(backend: str, name: str) -> dict:
     if kind.startswith("unit-"):
         return emit_instance(_unit_map(
             generate_instance(int(seed), kind.removeprefix("unit-"), field)))
+    if kind.startswith("deep-"):
+        profile = kind.removeprefix("deep-")
+        return generate(int(seed), profile, field, DEEP_SIZES[profile])
     return generate(int(seed), kind, field)
 
 
