@@ -22,6 +22,10 @@ The `deep-finite-plane` (24 points) and `deep-finite-nd` (8 points)
 cases are generated at a fixed size, so their ladders are several
 levels deep; they store the instance, the report and `.verify.json`.
 
+The `union` cases split the 8-point `finite-line` instance into three
+parts (`entries[i::3]`) and store the `glue` instance of those parts, its
+report and `.verify.json`, so the union gluing is pinned.
+
 To rewrite the corpus after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -58,6 +62,7 @@ def _cases():
             for profile in PROFILES:
                 yield backend, f"{profile}-{seed}"
             yield backend, f"vanishing-{seed}"
+            yield backend, f"union-{seed}"
             for profile in DEEP_SIZES:
                 yield backend, f"deep-{profile}-{seed}"
             if BACKENDS[backend].is_series:
@@ -80,11 +85,21 @@ def _unit_map(inst: Instance) -> Instance:
     return Instance("extend-finite", f, function=FiniteFunction(fn.n, entries))
 
 
+def _union_parts(seed: int, field: FieldDescriptor) -> Instance:
+    """The 8-point finite-line data split into three glue parts."""
+    entries = list(generate_instance(seed, "finite-line", field, 8)
+                   .function.entries)
+    parts = tuple(FiniteFunction(1, tuple(entries[i::3])) for i in range(3))
+    return Instance("glue", field, parts=parts)
+
+
 def _instance(backend: str, name: str) -> dict:
     kind, seed = name.rsplit("-", 1)
     field = BACKENDS[backend]
     if kind == "vanishing":
         return emit_instance(generate_vanishing_pair(int(seed), field))
+    if kind == "union":
+        return emit_instance(_union_parts(int(seed), field))
     if kind.startswith("unit-"):
         return emit_instance(_unit_map(
             generate_instance(int(seed), kind.removeprefix("unit-"), field)))
