@@ -25,10 +25,7 @@ from .lipschitz import (
     LipschitzReport,
     NotLipschitzError,
     is_lipschitz,
-    lipschitz_constant,
     reduce_to_risometry,
-    rescale,
-    restore_from_risometry,
     risometry_check,
     terms_lipschitz_ok,
 )

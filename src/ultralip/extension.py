@@ -22,7 +22,6 @@ from .field import (
     NormValue,
     Point,
     integer_average,
-    value_gt_cut,
 )
 from .geometry import Cell1D, cell_member, cells_intersect, dist_to_set
 from .balltree import Ball, BallTree
@@ -112,7 +111,7 @@ def _dist_or_none(x: Point, targets) -> CutValue | None:
 def _all_strictly_above(cut_a: CutValue, cut_b: CutValue) -> bool:
     """Whether every distance behind cut_b strictly exceeds the cut_a infimum."""
     if cut_b.attained:
-        return value_gt_cut(cut_b.norm, cut_a)
+        return cut_a < cut_b
     return cut_a <= cut_b
 
 
@@ -252,8 +251,8 @@ class _Ladder:
     piece at its first child, or its fiber for a leaf.  Evaluation walks
     to the finest applicable piece; when no piece below the root applies,
     the piece (None, root), the root's class data, decides, making the
-    value independent of the base coordinate far out.  Each piece's data
-    is extended along the fiber once, by extend_fiber.
+    value independent of the base coordinate far out.  Each data dict is
+    extended along the fiber once, by extend_fiber.
     """
 
     def __init__(self, bases: list, fibers: list[dict], extend_fiber):
@@ -264,7 +263,7 @@ class _Ladder:
         self.tree = BallTree(bases)
         self._data: dict[tuple, dict] = {}
         self._grid: dict[int, tuple[BallTree, dict]] = {}
-        self._pieces: dict[tuple, Callable] = {}
+        self._pieces: dict[int, Callable] = {}  # by id of the data dict
 
     def _data_of(self, parent: Ball | None, node: Ball) -> dict:
         """The data of the piece (parent, node), built once."""
@@ -314,11 +313,11 @@ class _Ladder:
             if not d > current.radius:
                 break
             parent, current = current, child
-        key = (id(parent), id(current))
-        got = self._pieces.get(key)
+        # (None, root) and (root, first child) share one data dict
+        data = self._data_of(parent, current)
+        got = self._pieces.get(id(data))
         if got is None:
-            got = self.extend_fiber(self._data_of(parent, current))
-            self._pieces[key] = got
+            got = self._pieces[id(data)] = self.extend_fiber(data)
         return got
 
 

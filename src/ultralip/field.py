@@ -130,13 +130,6 @@ class NormValue:
             return NormValue.zero()
         return NormValue(self.exponent - other.exponent)
 
-    def __pow__(self, k: int) -> "NormValue":
-        if self.is_zero:
-            if k <= 0:
-                raise ZeroDivisionError("zero norm to a non-positive power")
-            return self
-        return NormValue(self.exponent * k)
-
     def __repr__(self) -> str:
         return "Norm(0)" if self.is_zero else f"Theta({self.exponent})"
 
@@ -165,17 +158,13 @@ class CutValue:
     norm: NormValue
     attained: bool
 
-    def _key(self):
-        return (self.norm, 0 if self.attained else 1)
-
     def __lt__(self, other: "CutValue") -> bool:
-        a, b = self._key(), other._key()
-        if a[0] == b[0]:
-            return a[1] < b[1]
-        return a[0] < b[0]
+        if self.norm == other.norm:
+            return self.attained and not other.attained
+        return self.norm < other.norm
 
     def __le__(self, other: "CutValue") -> bool:
-        return self == other or self < other
+        return not other < self
 
     def __gt__(self, other: "CutValue") -> bool:
         return other < self
@@ -186,26 +175,6 @@ class CutValue:
     def __repr__(self) -> str:
         tag = "attained" if self.attained else "approached"
         return f"Cut({self.norm!r}, {tag})"
-
-
-def cut_of_value(v: NormValue) -> CutValue:
-    return CutValue(v, True)
-
-
-def value_gt_cut(v: NormValue, cut: CutValue) -> bool:
-    """Whether the norm v lies strictly above the cut."""
-    return v > cut.norm
-
-
-def value_lt_cut(v: NormValue, cut: CutValue) -> bool:
-    """Whether the norm v lies strictly below the cut."""
-    if cut.attained:
-        return v < cut.norm
-    return v <= cut.norm
-
-
-def value_le_cut(v: NormValue, cut: CutValue) -> bool:
-    return not value_gt_cut(v, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -753,17 +722,6 @@ class Point:
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __sub__(self, other: "Point") -> "Point":
-        if len(other.coords) != len(self.coords):
-            raise ValueError("dimension mismatch")
-        return Point(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def norm(self) -> NormValue:
         return max_norms(c.norm() for c in self.coords)

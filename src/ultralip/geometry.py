@@ -23,7 +23,6 @@ from .field import (
     Q,
     RVValue,
     _padic_residue,
-    cut_of_value,
 )
 
 
@@ -162,7 +161,7 @@ def box_representative_rv(box: RVBox, field: FieldDescriptor) -> RVValue:
             return RVValue.zero()
         raise GeometryError(f"empty box {box}")
     unit = box.unit if box.unit is not None else Q(1)
-    return RVValue(e, unit, field.prime if field.mixed_characteristic else None)
+    return RVValue(e, unit, field.prime)
 
 
 def _box_min_cut(box: RVBox) -> CutValue:
@@ -457,14 +456,12 @@ def translate_box(box: RVBox, d: FieldElement) -> tuple[RVBox, ...]:
         if shifted.norm() == fiber_norm:
             return (ExactBox(shifted.rv()),)
         raise RecenterError(f"translation by {d!r} breaks fiber {box}")
-    if cut_of_value(nd) < box.lower:
+    if CutValue(nd, True) < box.lower:
         return (box,)
     if box.unit is not None and box.lower.attained and nd == box.lower.norm:
         # split off the boundary fiber, which translates like an exact box,
         # and keep the rest of the annulus untouched
-        boundary = ExactBox(RVValue(
-            nd.exponent, box.unit,
-            field.prime if field.mixed_characteristic else None))
+        boundary = ExactBox(RVValue(nd.exponent, box.unit, field.prime))
         rest_lower = CutValue(box.lower.norm, False)
         parts = list(translate_box(boundary, d))
         if not (box.upper < rest_lower):

@@ -1,6 +1,6 @@
 """Lipschitz-constant measurement, risometry checks, and the reduction
-and rescaling transforms that trade a Lipschitz constant for the exact
-leading-term condition rv(f(x + y e_i) - f(x)) = rv(y).
+that trades a Lipschitz constant for the exact leading-term condition
+rv(f(x + y e_i) - f(x)) = rv(y), with its pointwise inverse.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ class FiniteFunction:
     def domain(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def value_at(self, p: Point) -> FieldElement:
-        for q, v in self.entries:
-            if q == p:
-                return v
-        raise KeyError(f"{p} not in the domain")
-
     def map_values(self, fn) -> "FiniteFunction":
         return FiniteFunction(self.n, tuple((p, fn(p, v)) for p, v in self.entries))
 
@@ -102,25 +96,14 @@ def first_violation(pairs: Sequence[tuple], eps: NormValue):
                  if ratio > eps), None)
 
 
-def lipschitz_constant(f: FiniteFunction) -> LipschitzReport:
-    """The exact supremum of norm(f(x)-f(y))/norm(x-y), with a witness.
-
-    Constant maps (and singletons) report the zero norm, which lies below
-    every positive bound.
-    """
-    best = NormValue.zero()
-    witness = None
-    for (p, _), (q, _), ratio in _pair_ratios(f.entries):
-        if witness is None or ratio > best:
-            best = ratio
-            witness = (p, q)
-    if witness is not None and best.is_zero:
-        witness = None
-    return LipschitzReport(best, witness)
-
-
 def is_lipschitz(f: FiniteFunction, eps: NormValue) -> LipschitzReport:
-    """Check every pair ratio against the bound; list all violations."""
+    """Check every pair ratio against the bound; list all violations.
+
+    The report also carries the exact constant, the supremum of
+    norm(f(x)-f(y))/norm(x-y), with the first pair that attains it.
+    Constant maps (and singletons) have the zero constant, which lies
+    below every positive bound, and no witness.
+    """
     if eps.is_zero:
         raise ValueError("the Lipschitz bound must be a positive norm")
     best = NormValue.zero()
@@ -131,6 +114,8 @@ def is_lipschitz(f: FiniteFunction, eps: NormValue) -> LipschitzReport:
             best, witness = ratio, (p, q)
         if ratio > eps:
             violations.append((p, q))
+    if best.is_zero:
+        witness = None
     return LipschitzReport(best, witness, tuple(violations))
 
 
@@ -245,27 +230,12 @@ def reduce_to_risometry(f: FiniteFunction, eps: NormValue,
     return f.map_values(transform)
 
 
-def restore_from_risometry(g: FiniteFunction, eps_elt: FieldElement,
-                           axes: Sequence[int]) -> FiniteFunction:
-    """F(x) = eps_elt * (g(x) - sum_{i in axes} x_i); inverse of the reduction."""
-    return g.map_values(lambda p, v: restore_value(v, p, eps_elt, axes))
-
-
 def restore_value(gx: FieldElement, x: Point, eps_elt: FieldElement,
                   axes: Sequence[int]) -> FieldElement:
-    """Pointwise form of the restore transform, for composed evaluators."""
+    """F(x) = eps_elt * (g(x) - sum_{i in axes} x_i), the pointwise
+    inverse of the reduction, for composed evaluators."""
     acc = gx
     for i in axes:
         acc = acc - x.coords[i - 1]
     return eps_elt * acc
 
-
-def rescale(f: FiniteFunction, eps_elt: FieldElement) -> FiniteFunction:
-    """f1(x) = eps_elt * f(x / eps_elt): same Lipschitz constant, same
-    risometry axes, domain dilated by eps_elt."""
-    if eps_elt.is_zero:
-        raise ZeroDivisionError("rescaling by zero")
-    entries = tuple(
-        (Point(tuple(eps_elt * c for c in p.coords)), eps_elt * v)
-        for p, v in f.entries)
-    return FiniteFunction(f.n, entries)

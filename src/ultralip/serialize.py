@@ -182,9 +182,8 @@ def parse_box(field: FieldDescriptor, obj, path="box") -> RVBox:
         exp = parse_rational(body["ord"], f"{path}.ord")
         unit = parse_rational(body.get("unit", 1), f"{path}.unit")
         try:
-            return ExactBox(RVValue(
-                field.check_exponent(exp), unit,
-                field.prime if field.mixed_characteristic else None))
+            return ExactBox(RVValue(field.check_exponent(exp), unit,
+                                    field.prime))
         except ValueError as e:
             raise InstanceError(path, str(e))
     if "lower" not in body or "upper" not in body:

@@ -21,9 +21,6 @@ from .field import (
     Q,
     RVValue,
     integer_average,
-    value_gt_cut,
-    value_le_cut,
-    value_lt_cut,
 )
 from .geometry import (
     AnnulusBox,
@@ -125,7 +122,7 @@ def build_skeleton(cells) -> Skeleton:
         for c in centers:
             # removal against the already-built lower-level skeleton
             near = [s for s in point_level
-                    if value_le_cut(c.norm_of_difference(s), r)]
+                    if CutValue(c.norm_of_difference(s), True) <= r]
             if near:
                 placed[c] = min(near, key=lambda s: (
                     _norm_key(c.norm_of_difference(s)), s.sort_key()))
@@ -213,7 +210,7 @@ def _equivalence_classes(centers, r: CutValue):
     classes: list[list[FieldElement]] = []
     for c in centers:
         for cls in classes:
-            if value_le_cut(c.norm_of_difference(cls[0]), r):
+            if CutValue(c.norm_of_difference(cls[0]), True) <= r:
                 cls.append(c)
                 break
         else:
@@ -221,7 +218,7 @@ def _equivalence_classes(centers, r: CutValue):
     for cls in classes:
         for a in cls:
             for b in cls:
-                if value_gt_cut(a.norm_of_difference(b), r):
+                if CutValue(a.norm_of_difference(b), True) > r:
                     raise SkeletonError(
                         "level relation is not transitive; ultrametric "
                         f"violation between {a!r} and {b!r}")
@@ -251,7 +248,7 @@ def _assert_metric_condition(skel: Skeleton, cells):
     for i, (p, rp) in enumerate(pts):
         for q, rq in pts[i + 1:]:
             hi = max(rp, rq)
-            if not value_gt_cut(p.norm_of_difference(q), hi):
+            if not CutValue(p.norm_of_difference(q), True) > hi:
                 raise SkeletonError(
                     f"skeleton points {p!r}, {q!r} too close for level {hi!r}")
     # the skeleton avoids the family
@@ -291,14 +288,6 @@ class Configuration:
     cut_vs_cut: tuple
 
 
-def _cmp_value_cut(v: NormValue, cut: CutValue) -> int:
-    if value_lt_cut(v, cut):
-        return -1
-    if value_gt_cut(v, cut):
-        return 1
-    return 0
-
-
 def _cmp_cuts(a: CutValue, b: CutValue) -> int:
     if a < b:
         return -1
@@ -313,9 +302,9 @@ def configuration_of(pairs) -> Configuration:
     dist_rows = []
     for i in range(d):
         for j in range(i + 1, d):
-            dist = pairs[i][0].norm_of_difference(pairs[j][0])
-            dist_rows.append(tuple(_cmp_value_cut(dist, cut)
-                                   for _, cut in pairs))
+            # a norm compares with a cut like the cut (norm, attained)
+            dist = CutValue(pairs[i][0].norm_of_difference(pairs[j][0]), True)
+            dist_rows.append(tuple(_cmp_cuts(dist, cut) for _, cut in pairs))
     cut_rows = tuple(tuple(_cmp_cuts(a, b) for _, b in pairs)
                      for _, a in pairs)
     return Configuration(d, tuple(dist_rows), cut_rows)
@@ -382,8 +371,7 @@ def one_cell(balls) -> Cell1D:
         if field.mixed_characteristic and u >= field.prime:
             raise BallConditionError(
                 "all residue directions at the anchor radius are occupied")
-        candidate = RVValue(anchor.radius.exponent, u,
-                            field.prime if field.mixed_characteristic else None)
+        candidate = RVValue(anchor.radius.exponent, u, field.prime)
         if candidate.unit not in forbidden:
             break
         u += 1

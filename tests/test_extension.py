@@ -328,6 +328,25 @@ def test_ladder_combine_costs_few_differences(monkeypatch):
     assert calls <= 1000
 
 
+def test_ladder_extends_each_data_dict_once(monkeypatch):
+    # the pieces (None, root) and (root, first child) share a data dict
+    extended = []
+    init = _Ladder.__init__
+
+    def recording(self, bases, fibers, extend_fiber):
+        def extend(data):
+            extended.append(data)  # kept alive, so no id is reused
+            return extend_fiber(data)
+        init(self, bases, fibers, extend)
+
+    monkeypatch.setattr(_Ladder, "__init__", recording)
+    for profile, size in (("finite-plane", 24), ("finite-nd", 8)):
+        for seed in range(3):
+            inst = parse_instance(json.dumps(generate(seed, profile, T, size)))
+            run_instance(inst, seed, 60, (-6, 6), None)
+    assert extended
+    assert len({id(d) for d in extended}) == len(extended)
+
 def test_nd_three_dims():
     # two points differing only in the last coordinate: a line extension
     f = FiniteFunction(3, (

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ultralip import field
 from ultralip.field import (
     BackendMismatchError,
+    CutValue,
     FieldDescriptor,
     NormValue,
     PDivisibleCountWarning,
@@ -125,8 +126,21 @@ def test_norm_order_is_reversed():
     assert ZERO < theta(100)
     assert theta(1) * theta(2) == theta(3)
     assert theta(1) / theta(3) == theta(-2)
-    assert theta(2) ** 3 == theta(6)
 
+
+def test_norm_compares_with_cut_as_attained_cut():
+    # the cut (r, not attained) lies strictly between r and every norm
+    # above r, so a norm v sits where the cut (v, attained) does
+    norms = [ZERO, theta(3), theta(Q(1, 2)), theta(0), theta(-2)]
+    for v in norms:
+        for r in norms:
+            for attained in (True, False):
+                cut = CutValue(r, attained)
+                below = v < r or (v == r and not attained)
+                assert (CutValue(v, True) < cut) is below
+                assert (CutValue(v, True) > cut) is (v > r)
+                assert (CutValue(v, True) <= cut) is (not v > r)
+                assert (CutValue(v, True) >= cut) is (not below)
 
 def test_value_group_structure():
     # t-adic norms form Theta(Z); the least element above 1 is Theta(-1)

@@ -14,10 +14,8 @@ from ultralip.lipschitz import (
     NotLipschitzError,
     finite_function_1d,
     is_lipschitz,
-    lipschitz_constant,
     reduce_to_risometry,
-    rescale,
-    restore_from_risometry,
+    restore_value,
     risometry_check,
     terms_lipschitz_ok,
 )
@@ -36,23 +34,24 @@ def ff(pairs):
 
 
 def test_lipschitz_constant_examples():
-    assert lipschitz_constant(ff([(T.zero(), T.zero()), (t(1), t(1))])).constant \
-        == theta(0)
-    rep = lipschitz_constant(ff([(T.zero(), T.zero()), (t(2), t(1))]))
+    assert is_lipschitz(ff([(T.zero(), T.zero()), (t(1), t(1))]),
+                        theta(0)).constant == theta(0)
+    rep = is_lipschitz(ff([(T.zero(), T.zero()), (t(2), t(1))]), theta(0))
     assert rep.constant == theta(-1)
     assert rep.witness is not None
     p, q = rep.witness
     d = {p, q}
     assert d == {Point((T.zero(),)), Point((t(2),))}
-    const = lipschitz_constant(ff([(T.zero(), t(1)), (T.one(), t(1))]))
+    const = is_lipschitz(ff([(T.zero(), t(1)), (T.one(), t(1))]), theta(0))
     assert const.constant.is_zero and const.witness is None
 
 
 def test_witness_realizes_constant():
     f = ff([(T.zero(), T.zero()), (t(1), t(2)), (T.one(), t(1, 5))])
-    rep = lipschitz_constant(f)
+    rep = is_lipschitz(f, theta(0))
     p, q = rep.witness
-    ratio = f.value_at(p).norm_of_difference(f.value_at(q)) / p.norm_of_difference(q)
+    value = dict(f.entries)
+    ratio = value[p].norm_of_difference(value[q]) / p.norm_of_difference(q)
     assert ratio == rep.constant
 
 
@@ -106,38 +105,23 @@ def test_reduce_rejects_bad_inputs():
         reduce_to_risometry(good, theta(-2), t(-1), axes=[1])  # norm mismatch
 
 
+def _restore(g, eps_elt, axes):
+    """The reduction undone point by point through restore_value."""
+    return tuple((p, restore_value(v, p, eps_elt, axes)) for p, v in g.entries)
+
+
 def test_restore_roundtrip_and_scaling():
     f = ff([(T.zero(), T.zero()), (t(1), t(1)), (T.one(), T.one() + t(3))])
     g = reduce_to_risometry(f, theta(-1), t(-1), axes=[1])
-    back = restore_from_risometry(g, t(-1), axes=[1])
-    assert back.entries == f.entries
+    assert _restore(g, t(-1), axes=[1]) == f.entries
 
     ident = ff([(T.zero(), T.zero()), (t(1), t(1))])
-    zeroed = restore_from_risometry(ident, t(-1), axes=[1])
-    assert all(v.is_zero for _, v in zeroed.entries)
+    zeroed = _restore(ident, t(-1), axes=[1])
+    assert all(v.is_zero for _, v in zeroed)
 
     onelip = reduce_to_risometry(f, theta(-1), t(-1), axes=[1])
-    restored = restore_from_risometry(onelip, t(-1), axes=[1])
-    assert lipschitz_constant(restored).constant <= theta(-1)
-
-
-def test_rescale_examples():
-    ident = ff([(T.zero(), T.zero()), (t(1), t(1))])
-    assert rescale(ident, t(-1)).entries == tuple(
-        (Point((t(-1) * p.coords[0],)), t(-1) * v) for p, v in ident.entries)
-    lin = ff([(T.one(), t(1)), (t(1), t(2))])  # f(x) = t x
-    scaled = rescale(lin, t(-1))
-    for p, v in scaled.entries:
-        assert v == t(1) * p.coords[0]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                min_size=2, max_size=5, unique_by=lambda ab: ab[0]))
-def test_rescale_preserves_constant(pairs):
-    f = ff([(t(a), t(b)) for a, b in pairs])
-    assert lipschitz_constant(rescale(f, t(-2))).constant \
-        == lipschitz_constant(f).constant
+    restored = FiniteFunction(1, _restore(onelip, t(-1), axes=[1]))
+    assert is_lipschitz(restored, theta(-1)).constant <= theta(-1)
 
 
 def test_affine_risometry_preserves_image_radii():
@@ -161,8 +145,7 @@ def test_reduce_output_properties_randomized():
         ok, _ = risometry_check(g, axes=[1])
         assert ok
         assert is_lipschitz(g, theta(0)).ok
-        back = restore_from_risometry(g, t(-1), axes=[1])
-        assert back.entries == inst.function.entries
+        assert _restore(g, t(-1), axes=[1]) == inst.function.entries
 
 
 # -- the term-prefix decider ------------------------------------------------
