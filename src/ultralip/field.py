@@ -534,13 +534,20 @@ class FieldElement:
         return FieldElement(f, num, den)
 
     def scale(self, q) -> "FieldElement":
-        """Multiply by an exact rational."""
+        """Multiply by an exact rational.
+
+        Every FieldElement is canonical: each constructor and each operation
+        builds a reduced form.  For a canonical N/D and a rational q != 0,
+        gcd(q*N, D) = gcd(N, D) = 1 and D keeps order 0 and constant term 1,
+        so q*N/D is canonical as it stands and needs no gcd.
+        """
         q = _as_fraction(q)
         f = self.field
         if not f.is_series:
             return FieldElement(f, rational=self.rational * q)
-        num, den = _canonical_fraction(_pscale(self.num, q), self.den)
-        return FieldElement(f, num, den)
+        if q == 0:
+            return f.zero()
+        return FieldElement(f, _pscale(self.num, q), self.den)
 
     # -- valuation data --------------------------------------------------------
 

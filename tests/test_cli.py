@@ -35,6 +35,7 @@ from ultralip.serialize import (
     emit_instance,
     emit_rational,
     parse_element,
+    parse_field,
     parse_instance,
 )
 
@@ -538,9 +539,7 @@ def test_window_space_form_and_bad_flags(tmp_path):
 
 def _mutate(payload, where, kind, junk):
     key = where[-1]
-    parent = payload
-    for k in where[:-1]:
-        parent = parent[k]
+    parent = _at(payload, where[:-1])
     if kind == "drop":
         del parent[key]
     elif kind == "empty":
@@ -555,6 +554,33 @@ def _locations(obj, prefix=()):
         yield prefix + (k,)
         if isinstance(v, (dict, list)):
             yield from _locations(v, prefix + (k,))
+
+
+def _element_places(payload):
+    """Locations of the strings that parse as elements of the payload's
+    field, with those strings."""
+    places = list(_locations(payload))
+    try:
+        field = parse_field(next(_at(payload, w) for w in places
+                                 if w[-1] == "field"))
+    except (StopIteration, InstanceError):  # an earlier mutation broke it
+        return []
+    found = []
+    for where in places:
+        value = _at(payload, where)
+        if isinstance(value, str):
+            try:
+                parse_element(field, value)
+            except InstanceError:
+                continue
+            found.append((where, value))
+    return found
+
+
+def _at(payload, where):
+    for k in where:
+        payload = payload[k]
+    return payload
 
 
 def _fuzz_bases():
@@ -584,8 +610,21 @@ def test_mutated_payloads_exit_cleanly(data):
         places = list(_locations(payload))
         if not places:
             break
+        kind = data.draw(st.sampled_from(("drop", "retype", "empty", "swap")))
+        if kind == "swap":
+            # one element string for another from the same payload: the
+            # swap alone leaves the instance parsing, but it may no longer
+            # be Lipschitz, may hold overlapping cells or break a graph
+            # branch
+            elements = _element_places(payload)
+            values = sorted(set(v for _, v in elements))
+            if len(values) < 2:
+                continue
+            where, old = data.draw(st.sampled_from(elements))
+            new = data.draw(st.sampled_from([v for v in values if v != old]))
+            _mutate(payload, where, "retype", new)
+            continue
         where = data.draw(st.sampled_from(places))
-        kind = data.draw(st.sampled_from(("drop", "retype", "empty")))
         _mutate(payload, where, kind, data.draw(st.sampled_from(_JUNK)))
     if command != "verify":
         try:

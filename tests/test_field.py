@@ -344,3 +344,38 @@ def test_cross_denominator_differences_run_no_gcd(monkeypatch):
     assert calls == []
     pairs[0][0] - pairs[0][1]  # the canonical difference runs the gcd
     assert calls
+
+
+# -- scaling a reduced form --------------------------------------------------
+
+
+def _scale_by_reduction(a, q):
+    """The route scale took before it kept the reduced form: reduce q*N/D."""
+    num, den = field._canonical_fraction(field._pscale(a.num, q), a.den)
+    return field.FieldElement(a.field, num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((T, PX)))
+def test_scale_matches_the_reduced_product(data, fd):
+    a = data.draw(series_elements(fd))
+    q = data.draw(st.one_of(st.just(Q(0)), coeffs))
+    got, want = a.scale(q), _scale_by_reduction(a, q)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_text() == want.to_text()
+    assert hash(got) == hash(want)
+
+
+def test_scale_runs_no_reduction(monkeypatch):
+    forms = [(T.one() + t(2)) / (T.one() + t(1)),
+             t(-1) / (T.one() - t(2)),
+             PX.one() / PX.from_terms([(0, 1), (Q(1, 2), 1)])]
+    assert all(len(a.den) > 1 for a in forms)
+    calls = []
+    reduce = field._canonical_fraction
+    monkeypatch.setattr(field, "_canonical_fraction",
+                        lambda n, d: calls.append(1) or reduce(n, d))
+    for a in forms:
+        assert a.scale(Q(-3, 2)).scale(Q(-2, 3)) == a
+        assert a.scale(0).is_zero
+    assert calls == []
