@@ -22,6 +22,8 @@ from .field import (
     NormValue,
     Point,
     integer_average,
+    sum_over_count,
+    warn_count,
 )
 from .geometry import Cell1D, cell_member, cells_intersect, dist_to_set
 from .balltree import Ball, BallTree
@@ -72,14 +74,28 @@ def ext_sum(a: ExtendedFunction, b: ExtendedFunction, provenance: str,
 
 
 class _NearestAverage:
-    """x -> the average of the values over the keys nearest to x."""
+    """x -> the average of the values over the keys nearest to x.
+
+    The nearest-point set is a node of the ball tree, so each node's
+    average is computed on first use and kept, keyed by the node; the
+    p-divisible-count warning still fires on every evaluation.
+    """
 
     def __init__(self, data: dict):
         self.values = list(data.values())
         self.tree = BallTree(list(data))
+        self.averages: dict[Ball, FieldElement] = {}
 
     def __call__(self, x) -> FieldElement:
-        return integer_average([self.values[i] for i in self.tree.nearest(x)])
+        if self.tree.root is None:
+            raise ValueError("average of an empty sequence")
+        ball = self.tree.locate(x)[0]
+        average = self.averages.get(ball)
+        if average is None:
+            average = self.averages[ball] = sum_over_count(
+                [self.values[i] for i in ball.members])
+        warn_count(average.field, len(ball.members))
+        return average
 
 
 def extend_finite_line(f: FiniteFunction) -> ExtendedFunction:

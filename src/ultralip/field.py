@@ -261,6 +261,12 @@ class FieldDescriptor:
         elif self.prime is not None:
             raise ValueError(f"{self.kind} backend takes no prime")
 
+    def __hash__(self) -> int:
+        # before Python 3.12 hash(None) follows None's address, so hashing
+        # the prime as given would order sets of elements differently in
+        # every process, even with a fixed PYTHONHASHSEED
+        return hash((self.kind, self.prime or 0))
+
     @property
     def is_series(self) -> bool:
         return self.kind in (T_ADIC, PUISEUX)
@@ -755,13 +761,22 @@ def integer_average(values: Sequence[FieldElement]) -> FieldElement:
     values = list(values)
     if not values:
         raise ValueError("average of an empty sequence")
-    field = values[0].field
+    average = sum_over_count(values)
+    warn_count(values[0].field, len(values))
+    return average
+
+
+def sum_over_count(values: Sequence[FieldElement]) -> FieldElement:
+    """The sum of a nonempty sequence scaled by 1/len, with no warning."""
     total = values[0]
     for v in values[1:]:
         total = total + v
-    k = len(values)
+    return total.scale(Q(1, len(values)))
+
+
+def warn_count(field: FieldDescriptor, k: int) -> None:
+    """Warn that averaging k values inflates norms when p divides k."""
     if field.mixed_characteristic and k % field.prime == 0:
         warnings.warn(
             f"averaging {k} values with |{k}|_{field.prime} < 1",
-            PDivisibleCountWarning, stacklevel=2)
-    return total.scale(Q(1, k))
+            PDivisibleCountWarning, stacklevel=3)

@@ -556,17 +556,23 @@ def _locations(obj, prefix=()):
             yield from _locations(v, prefix + (k,))
 
 
+def _payload_field(payload):
+    """The payload's field, or None when an earlier mutation broke it."""
+    try:
+        return parse_field(next(_at(payload, w) for w in _locations(payload)
+                                if w[-1] == "field"))
+    except (StopIteration, InstanceError):
+        return None
+
+
 def _element_places(payload):
     """Locations of the strings that parse as elements of the payload's
     field, with those strings."""
-    places = list(_locations(payload))
-    try:
-        field = parse_field(next(_at(payload, w) for w in places
-                                 if w[-1] == "field"))
-    except (StopIteration, InstanceError):  # an earlier mutation broke it
+    field = _payload_field(payload)
+    if field is None:
         return []
     found = []
-    for where in places:
+    for where in _locations(payload):
         value = _at(payload, where)
         if isinstance(value, str):
             try:
@@ -575,6 +581,36 @@ def _element_places(payload):
                 continue
             found.append((where, value))
     return found
+
+
+_BRANCH_KEYS = ("slope", "intercept", "phi_slope", "phi_intercept",
+                "value_slope", "value_intercept")
+
+
+def _is_box_bound(where) -> bool:
+    """An exact box's radius or an annulus cut's order or attainment."""
+    return "boxes" in where and where[-1] in ("ord", "attained")
+
+
+def _moved_bound(value, shift: int):
+    if isinstance(value, bool):
+        return not value
+    try:
+        return emit_rational(Q(value) + shift)
+    except (TypeError, ValueError):  # None (a zero box) or earlier junk
+        return shift
+
+
+def _element_strings(payload) -> list[str]:
+    """The payload's element strings and a few small elements of its
+    field, every one of them valid."""
+    field = _payload_field(payload)
+    if field is None:
+        return []
+    small = [field.from_int(k) for k in (0, 1, 2)]
+    small += [field.monomial(e, c) for e in (-1, 1) for c in (1, -1)]
+    return sorted({v for _, v in _element_places(payload)}
+                  | {emit_element(e) for e in small})
 
 
 def _at(payload, where):
@@ -610,7 +646,30 @@ def test_mutated_payloads_exit_cleanly(data):
         places = list(_locations(payload))
         if not places:
             break
-        kind = data.draw(st.sampled_from(("drop", "retype", "empty", "swap")))
+        kind = data.draw(st.sampled_from(("drop", "retype", "empty", "swap",
+                                          "bound", "branch")))
+        if kind in ("bound", "branch"):
+            # the structure stays: a cell's box bound moves, or a graph
+            # branch's (or a cell piece's) slope or intercept becomes
+            # another valid element, so cells may now overlap or miss
+            # their members and branches may cross
+            if kind == "bound":
+                targets = [w for w in places if _is_box_bound(w)]
+            else:
+                targets = [w for w in places if w[-1] in _BRANCH_KEYS]
+            if not targets:
+                continue
+            where = data.draw(st.sampled_from(targets))
+            old = _at(payload, where)
+            if kind == "bound":
+                new = _moved_bound(old, data.draw(st.sampled_from((-2, -1, 1, 2))))
+            else:
+                choices = [v for v in _element_strings(payload) if v != old]
+                if not choices:
+                    continue
+                new = data.draw(st.sampled_from(choices))
+            _mutate(payload, where, "retype", new)
+            continue
         if kind == "swap":
             # one element string for another from the same payload: the
             # swap alone leaves the instance parsing, but it may no longer

@@ -1,22 +1,26 @@
 """Extension operators: line averaging, gluing, ladders, cells, graphs."""
 
 import json
+import random
 import warnings
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultralip.cli import run_instance
+from ultralip import extension
+from ultralip.balltree import BallTree
+from ultralip.cli import construct_extension, run_instance
 from ultralip.field import (
     CutValue,
     FieldDescriptor,
     FieldElement,
     NormValue,
+    PDivisibleCountWarning,
     Point,
     integer_average,
 )
-from ultralip.generate import generate
+from ultralip.generate import generate, sample_points
 from ultralip.geometry import AnnulusBox, Cell1D, CutValue, ExactBox
 from ultralip.lipschitz import (
     FiniteFunction,
@@ -41,6 +45,7 @@ from ultralip.extension import (
     origins,
     _combine,
     _Ladder,
+    _NearestAverage,
 )
 from ultralip.serialize import parse_instance
 
@@ -89,6 +94,107 @@ def test_line_extension_is_lipschitz_on_samples():
     for i, x in enumerate(probes):
         for y in probes[i + 1:]:
             assert F(x).norm_of_difference(F(y)) <= x.norm_of_difference(y)
+
+
+_AVERAGE_BACKENDS = {"t-adic": (T, False), "puiseux": (PX, False),
+                     "p-adic 3": (P3, False), "t-adic unit": (T, True),
+                     "puiseux unit": (PX, True)}
+
+
+def _small_elements(fd):
+    """Sums of up to two monomials; p-adic ones are the integers 0..26,
+    whose nearest sets often hold three or six keys."""
+    exps = (st.builds(Q, st.integers(-4, 6), st.just(2)) if fd is PX
+            else st.integers(-2, 3))
+    monomials = st.builds(fd.monomial, exps, st.sampled_from((-2, -1, 1, 2)))
+    if fd is P3:
+        return st.integers(0, 26).map(fd.from_int)
+    return st.lists(monomials, max_size=2).map(
+        lambda ms: sum(ms, fd.zero()))
+
+
+def _p_divisible_warnings(wlist) -> int:
+    return sum(issubclass(w.category, PDivisibleCountWarning) for w in wlist)
+
+
+@pytest.mark.parametrize("backend", list(_AVERAGE_BACKENDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cached_ball_average_matches_the_plain_average(data, backend):
+    fd, unit = _AVERAGE_BACKENDS[backend]
+    elements = _small_elements(fd)
+    keys = data.draw(st.lists(elements, min_size=1, max_size=8, unique=True))
+    values = data.draw(st.lists(elements, min_size=len(keys),
+                                max_size=len(keys)))
+    # a p-adic key is its own nearest set, so query p-adic data off it
+    near = elements if fd is P3 else st.one_of(st.sampled_from(keys), elements)
+    queries = data.draw(st.lists(near, min_size=1, max_size=6))
+    if unit:  # multiplying by the unit 1/(1+t) keeps keys distinct
+        u = fd.one() / (fd.one() + fd.monomial(1))
+        keys, values, queries = ([u * e for e in es]
+                                 for es in (keys, values, queries))
+    average = _NearestAverage(dict(zip(keys, values)))
+    tree = BallTree(keys)
+    with warnings.catch_warnings(record=True) as cached:
+        warnings.simplefilter("always", PDivisibleCountWarning)
+        got = [average(x) for x in queries for _ in range(2)]
+    with warnings.catch_warnings(record=True) as plain:
+        warnings.simplefilter("always", PDivisibleCountWarning)
+        want = [integer_average([values[i] for i in tree.nearest(x)])
+                for x in queries for _ in range(2)]
+    assert [v.to_text() for v in got] == [v.to_text() for v in want]
+    assert _p_divisible_warnings(cached) == _p_divisible_warnings(plain)
+
+
+def test_p_divisible_warning_fires_on_every_evaluation():
+    # 0 is at distance 1 from 1, 2 and 5, and 3 divides that count
+    average = _NearestAverage({P3.from_int(k): P3.from_int(k) for k in (1, 2, 5)})
+    with warnings.catch_warnings(record=True) as wlist:
+        warnings.simplefilter("always", PDivisibleCountWarning)
+        assert average(P3.zero()) == average(P3.zero()) == P3.from_int(8) \
+            .scale(Q(1, 3))
+    assert _p_divisible_warnings(wlist) == 2
+
+
+def test_cached_ball_average_makes_no_addition(monkeypatch):
+    average = _NearestAverage({T.zero(): t(1), t(1): T.one(), t(2): t(3)})
+    x = T.one()  # 0, t and t^2 are all at distance 1
+    first = average(x)
+    assert first == (t(1) + T.one() + t(3)).scale(Q(1, 3))
+    calls = 0
+    add = FieldElement.__add__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(FieldElement, "__add__", counted)
+    assert average(x) == first
+    assert average(T.from_int(2)) == first  # another point, the same ball
+    assert calls == 0
+
+
+@pytest.mark.parametrize("profile", ["finite-line", "cells-line"])
+def test_ball_average_cache_is_bounded_by_the_tree(monkeypatch, profile):
+    made = []
+
+    class Recording(_NearestAverage):
+        def __init__(self, data):
+            super().__init__(data)
+            made.append(self)
+
+    monkeypatch.setattr(extension, "_NearestAverage", Recording)
+    inst = parse_instance(json.dumps(generate(1, profile, T, 40)))
+    F = construct_extension(inst)
+    anchors = ([p for p, _ in inst.function.entries] if inst.function
+               else [Point((c.center,)) for c in inst.cells])
+    samples = sample_points(random.Random(0), T, 1, anchors, (-6, 6), 500)
+    for i in range(500):
+        F(samples[i % len(samples)])
+    assert made and any(a.averages for a in made)
+    for a in made:
+        assert len(a.averages) <= len(a.tree.nodes)
 
 
 # -- gluing ---------------------------------------------------------------------
