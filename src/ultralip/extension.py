@@ -102,8 +102,10 @@ def extend_finite_line(f: FiniteFunction) -> ExtendedFunction:
     """Average the values over the nearest-point set of the domain."""
     if f.n != 1:
         raise ExtensionError("the line extension needs one variable")
-    require_one_lipschitz(f)
+    # FiniteFunction rejects duplicate points, so the average's keys are
+    # the domain in entry order and its tree serves the guard
     average = _NearestAverage({p.coords[0]: v for p, v in f.entries})
+    require_one_lipschitz(f, tree=average.tree)
     return ExtendedFunction(
         1, f.field, "finite-line-average", lambda x: average(x.coords[0]),
         description={"points": len(average.values)})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -251,6 +251,9 @@ _ONE_POLY: Poly = ((_ZERO, Q(1)),)
 class FieldDescriptor:
     kind: str
     prime: int | None = None
+    # whether the backend is t-adic or puiseux; read by every operation, so
+    # it is kept rather than recomputed
+    is_series: bool = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -260,16 +263,13 @@ class FieldDescriptor:
                 raise ValueError("p-adic backend needs a prime")
         elif self.prime is not None:
             raise ValueError(f"{self.kind} backend takes no prime")
+        object.__setattr__(self, "is_series", self.kind in (T_ADIC, PUISEUX))
 
     def __hash__(self) -> int:
         # before Python 3.12 hash(None) follows None's address, so hashing
         # the prime as given would order sets of elements differently in
         # every process, even with a fixed PYTHONHASHSEED
         return hash((self.kind, self.prime or 0))
-
-    @property
-    def is_series(self) -> bool:
-        return self.kind in (T_ADIC, PUISEUX)
 
     @property
     def mixed_characteristic(self) -> bool:
@@ -414,6 +414,8 @@ def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """
     if not num:
         return (), _ONE_POLY
+    if den is _ONE_POLY:
+        return num, den
     # move the denominator's monomial content into the numerator
     d0 = _ord(den)
     if d0 != 0:
@@ -444,17 +446,25 @@ def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if lead != 1:
         den = _pscale(den, 1 / lead)
         num = _pscale(num, 1 / lead)
-    return num, den
+    # a one-term canonical denominator equals _ONE_POLY; share that object,
+    # so that comparing two such denominators is an identity test
+    return num, (_ONE_POLY if len(den) == 1 else den)
 
 
 class FieldElement:
-    """An exact element of a valued field, kept in canonical reduced form."""
+    """An exact element of a valued field, kept in canonical reduced form.
 
-    __slots__ = ("field", "num", "den", "rational")
+    Elements are never changed after construction, so the hash is computed
+    on first use and kept.  A one-term denominator is always the shared
+    _ONE_POLY object.
+    """
+
+    __slots__ = ("field", "num", "den", "rational", "_hash")
 
     def __init__(self, field: FieldDescriptor, num: Poly = None, den: Poly = None,
                  rational: Fraction = None):
         self.field = field
+        self._hash = None
         if field.is_series:
             if rational is not None:
                 raise ValueError("series element built from a rational")
@@ -480,19 +490,26 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.field != other.field:
+        if other.field is not self.field and self.field != other.field:
             return False
         if self.field.is_series:
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num and (
+                self.den is other.den or self.den == other.den)
         return self.rational == other.rational
 
     def __hash__(self) -> int:
-        if self.field.is_series:
-            return hash((self.field, self.num, self.den))
-        return hash((self.field, self.rational))
+        h = self._hash
+        if h is None:
+            if self.field.is_series:
+                h = hash((self.field, self.num, self.den))
+            else:
+                h = hash((self.field, self.rational))
+            self._hash = h
+        return h
 
     def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement) or self.field != other.field:
+        if not isinstance(other, FieldElement) or (
+                other.field is not self.field and self.field != other.field):
             raise BackendMismatchError(
                 f"mixed backends: {self.field} vs {getattr(other, 'field', other)}")
 
@@ -503,7 +520,7 @@ class FieldElement:
         f = self.field
         if not f.is_series:
             return FieldElement(f, rational=self.rational + other.rational)
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             num, den = _canonical_fraction(_padd(self.num, other.num), self.den)
             return FieldElement(f, num, den)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
@@ -583,7 +600,7 @@ class FieldElement:
             return NormValue(Q(_padic_valuation(self.rational - other.rational,
                                                 f.prime))) \
                 if self.rational != other.rational else NormValue.zero()
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
             return NormValue.zero() if got is None else NormValue(got[0])
         num = _cross_numerator(self, other)
@@ -609,7 +626,7 @@ class FieldElement:
         if not f.is_series:
             d = self.rational - other.rational
             return _padic_lead(d, f.prime) if d else (math.inf, None)
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
             if got is None:
                 return math.inf, None

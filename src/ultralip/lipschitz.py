@@ -86,11 +86,13 @@ def _pair_ratios(pairs: Sequence[tuple]):
             yield (p, fp), (q, fq), fp.norm_of_difference(fq) / dx
 
 
-def first_violation(pairs: Sequence[tuple], eps: NormValue):
+def first_violation(pairs: Sequence[tuple], eps: NormValue, tree=None):
     """The first two (key, value) pairs whose ratio exceeds eps, or None;
-    the ball tree decides, and only a failing set is scanned pair by pair."""
-    if BallTree([p for p, _ in pairs]).lipschitz_ok(
-            [v for _, v in pairs], eps.exponent):
+    the ball tree decides, and only a failing set is scanned pair by pair.
+    A given tree must be the ball tree of the keys, in pair order."""
+    if tree is None:
+        tree = BallTree([p for p, _ in pairs])
+    if tree.lipschitz_ok([v for _, v in pairs], eps.exponent):
         return None
     return next(((a, b) for a, b, ratio in _pair_ratios(pairs)
                  if ratio > eps), None)
@@ -179,10 +181,12 @@ def terms_lipschitz_ok(f: FiniteFunction, eps: NormValue) -> bool | None:
     return True
 
 
-def require_one_lipschitz(f: FiniteFunction, what: str = "input") -> None:
+def require_one_lipschitz(f: FiniteFunction, what: str = "input",
+                          tree=None) -> None:
     """Raise NotLipschitzError unless f is 1-Lipschitz; the witness is
-    the first violating pair."""
-    violation = first_violation(f.entries, NORM_ONE)
+    the first violating pair.  A given tree must be the ball tree of
+    f's domain, in entry order."""
+    violation = first_violation(f.entries, NORM_ONE, tree)
     if violation is not None:
         (p, _), (q, _) = violation
         raise NotLipschitzError(f"{what} is not 1-Lipschitz", witness=(p, q))

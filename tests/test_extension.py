@@ -175,6 +175,28 @@ def test_cached_ball_average_makes_no_addition(monkeypatch):
     assert calls == 0
 
 
+def test_line_construction_builds_one_ball_tree(monkeypatch):
+    # the guard reads the tree of the nearest-point average
+    builds = 0
+    init = BallTree.__init__
+
+    def counted(self, keys):
+        nonlocal builds
+        builds += 1
+        init(self, keys)
+
+    inst = parse_instance(json.dumps(generate(1, "finite-line", T, 40)))
+    monkeypatch.setattr(BallTree, "__init__", counted)
+    F = extend_finite_line(inst.function)
+    assert builds == 1
+    for p, v in inst.function.entries:
+        assert F(p) == v
+    with pytest.raises(NotLipschitzError) as err:  # the guard still runs
+        extend_finite_line(ff1([(T.zero(), T.zero()), (t(1), T.one())]))
+    assert err.value.witness == (pt(T.zero()), pt(t(1)))
+    assert builds == 2
+
+
 @pytest.mark.parametrize("profile", ["finite-line", "cells-line"])
 def test_ball_average_cache_is_bounded_by_the_tree(monkeypatch, profile):
     made = []

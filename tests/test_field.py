@@ -19,6 +19,7 @@ from ultralip.field import (
     _is_prime,
     integer_average,
 )
+from ultralip.serialize import parse_element
 
 T = FieldDescriptor("t-adic")
 PX = FieldDescriptor("puiseux")
@@ -379,3 +380,48 @@ def test_scale_runs_no_reduction(monkeypatch):
         assert a.scale(Q(-3, 2)).scale(Q(-2, 3)) == a
         assert a.scale(0).is_zero
     assert calls == []
+
+
+# -- the shared unit denominator and the kept hash ----------------------------
+
+
+def _routes(fd, a, b, q):
+    """Elements built by every route that makes one: the constructors,
+    parsing, the four operations, scaling and the zero element."""
+    out = [a, b, fd.zero(), fd.from_terms(a.num, a.den),
+           parse_element(fd, a.to_text()), a + b, a - b, a * b,
+           a.scale(q), -a]
+    if not b.is_zero:
+        out.append(a / b)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((T, PX)))
+def test_unit_denominator_is_shared_and_hash_is_structural(data, fd):
+    a = data.draw(series_elements(fd))
+    b = data.draw(st.one_of(series_elements(fd), st.just(a),
+                            series_elements(fd).map(lambda d: a + d)))
+    q = data.draw(st.one_of(st.just(Q(0)), coeffs))
+    xs = _routes(fd, a, b, q)
+    for x in xs:
+        if len(x.den) == 1:
+            assert x.den is field._ONE_POLY
+        assert hash(x) == hash((x.field, x.num, x.den))
+        assert hash(x) == hash(x)  # the kept value
+    # equal values reached by different routes hash alike
+    pairs = [(parse_element(fd, a.to_text()), a), ((a + b) - b, a),
+             (a - a, fd.zero()), (a.scale(q), a * fd.from_rational(q))]
+    if not b.is_zero:
+        pairs.append(((a / b) * b, a))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, rationals)
+def test_padic_hash_is_structural(x, y):
+    a, b = P3.from_rational(x), P3.from_rational(y)
+    for z in (a, a + b, a * b, parse_element(P3, a.to_text())):
+        assert hash(z) == hash((z.field, z.rational))
+    assert hash((a + b) - b) == hash(a)
