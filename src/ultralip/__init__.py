@@ -48,7 +48,6 @@ from .extension import (
     extend_finite_line,
     extend_finite_nd,
     extend_finite_plane_ladder,
-    extend_graph_family,
     extend_graph_family_via_reduction,
     glue_union,
     glue_vanishing,

@@ -211,7 +211,9 @@ def _run_extend_cell(inst: Instance, rng, window, count):
 def _run_extend_graphs(inst: Instance, rng, window, count):
     family = inst.family
     F = construct_extension(inst)
-    olist, _ = origins(family)
+    olist = F.extras.get("origins")
+    if olist is None:  # a construction that keeps no origins
+        olist, _ = origins(family)
     pairs = [(Point((x1, br.phi(x1))), br.value(x1))
              for cell, branches in zip(family.base_cells, family.branches)
              for x1 in _members(cell) for br in branches]

@@ -25,7 +25,7 @@ from .field import (
     sum_over_count,
     warn_count,
 )
-from .geometry import Cell1D, cell_member, cells_intersect, dist_to_set
+from .geometry import Cell1D, cell_member, dist_to_set, first_intersecting_pair
 from .balltree import Ball, BallTree
 from .lipschitz import (
     FiniteFunction,
@@ -425,10 +425,10 @@ def extend_cell_risometry_line(cells: Sequence[Cell1D],
     """
     cells = list(cells)
     pieces = list(pieces)
-    for i, a in enumerate(cells):
-        for b in cells[i + 1:]:
-            if cells_intersect(a, b):
-                raise ExtensionError(f"cells overlap: {a!r} and {b!r}")
+    overlap = first_intersecting_pair(cells)
+    if overlap is not None:
+        a, b = overlap
+        raise ExtensionError(f"cells overlap: {a!r} and {b!r}")
     transport = transport_skeleton(cells, pieces)
     field = cells[0].field
     skel_points = list(transport.source.points())
@@ -492,10 +492,8 @@ class GraphFamily:
     def __post_init__(self):
         if len(self.base_cells) != len(self.branches):
             raise ExtensionError("one branch tuple per base cell required")
-        for i, a in enumerate(self.base_cells):
-            for b in self.base_cells[i + 1:]:
-                if cells_intersect(a, b):
-                    raise ExtensionError("base cells overlap")
+        if first_intersecting_pair(self.base_cells) is not None:
+            raise ExtensionError("base cells overlap")
         for cell, brs in zip(self.base_cells, self.branches):
             if not brs:
                 raise ExtensionError("a base cell without branches")
@@ -587,13 +585,19 @@ def extend_graph_family(family: GraphFamily) -> ExtendedFunction:
     Requires the origin values to vanish; use the reduction pipeline for
     families that do not vanish at their origins.
     """
-    olist, skel = origins(family)
+    return _extend_vanishing(family, *origins(family))
+
+
+def _extend_vanishing(family: GraphFamily, olist, skel) -> ExtendedFunction:
+    """extend_graph_family on the origins and skeleton origins() gave."""
     for origin, e in olist:
         if not e.is_zero:
             raise ExtensionError(
                 f"value does not vanish at origin {origin}: {e!r}")
     _check_graph_estimates(family, skel)
-    return _fiberwise(family, lambda ci, bi, x1: family.branches[ci][bi].value(x1))
+    F = _fiberwise(family, lambda ci, bi, x1: family.branches[ci][bi].value(x1))
+    F.extras["origins"] = olist
+    return F
 
 
 def _check_graph_estimates(family: GraphFamily, skel):
@@ -611,10 +615,11 @@ def _check_graph_estimates(family: GraphFamily, skel):
 
 def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
     """Subtract a finite extension of the origin values, extend fiberwise,
-    and add it back; the reduced family vanishes at the origins."""
+    and add it back; the reduced family vanishes at the origins.  The
+    origins and their values are kept as the 'origins' extra."""
     olist, skel = origins(family)
     if all(e.is_zero for _, e in olist):
-        return extend_graph_family(family)
+        return _extend_vanishing(family, olist, skel)
     origin_fun = FiniteFunction(2, tuple((o, e) for o, e in olist))
     g = extend_finite_nd(origin_fun)
     for o, e in olist:
@@ -627,8 +632,9 @@ def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
         return br.value(x1) - g(Point((x1, br.phi(x1))))
 
     reduced = _fiberwise(family, reduced_value)
-    return ext_sum(reduced, g, "graph-fiberwise-reduced",
-                   {"origins": len(olist)})
+    F = ext_sum(reduced, g, "graph-fiberwise-reduced", {"origins": len(olist)})
+    F.extras["origins"] = olist
+    return F
 
 
 # ---------------------------------------------------------------------------

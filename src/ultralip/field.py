@@ -386,7 +386,12 @@ def _ord(a: Poly) -> Fraction:
 
 
 def _pdivmod_int(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Division with remainder for integer-exponent polynomials."""
+    """Division with remainder for polynomials with nonnegative rational
+    exponents, by the highest term.
+
+    The exponents lie in some lattice (1/N)Z, and every step only adds,
+    subtracts and compares them, so this is division in Q[t^(1/N)].
+    """
     quo: dict[Fraction, Fraction] = {}
     rem = a
     db = b[-1][0]
@@ -401,7 +406,8 @@ def _pdivmod_int(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def _pgcd_int(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of integer-exponent polynomials over Q."""
+    """Monic gcd over Q of polynomials with nonnegative rational exponents
+    (in Q[t^(1/N)], as for _pdivmod_int)."""
     while b:
         _, r = _pdivmod_int(a, b)
         a, b = b, r
@@ -422,26 +428,13 @@ def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         den = _pshift(den, -d0)
         num = _pshift(num, -d0)
     if len(num) > 1 and len(den) > 1:
-        # scale rational exponents to integers before running Euclid
-        scale = 1
-        for e, _ in num + den:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
         n0 = _ord(num)
         nshift = _pshift(num, -n0)
-        if scale != 1:
-            nshift = tuple((e * scale, c) for e, c in nshift)
-            dint = tuple((e * scale, c) for e, c in den)
-        else:
-            dint = den
-        g = _pgcd_int(nshift, dint)
+        g = _pgcd_int(nshift, den)
         if len(g) > 1 or g[0][0] != 0:
             nshift, _ = _pdivmod_int(nshift, g)
-            dint, _ = _pdivmod_int(dint, g)
-            if scale != 1:
-                nshift = tuple((e / scale, c) for e, c in nshift)
-                dint = tuple((e / scale, c) for e, c in dint)
+            den, _ = _pdivmod_int(den, g)
             num = _pshift(nshift, n0)
-            den = dint
     lead = den[0][1]
     if lead != 1:
         den = _pscale(den, 1 / lead)
@@ -579,7 +572,7 @@ class FieldElement:
             return NormValue.zero()
         if self.field.is_series:
             return NormValue(_ord(self.num))  # den has order 0
-        return NormValue(Q(_padic_valuation(self.rational, self.field.prime)))
+        return NormValue(Q(_padic_lead(self.rational, self.field.prime)[0]))
 
     def rv(self) -> RVValue:
         if self.is_zero:
@@ -588,18 +581,17 @@ class FieldElement:
         if f.is_series:
             # den is canonical with constant coefficient 1
             return RVValue(_ord(self.num), self.num[0][1])
-        v = _padic_valuation(self.rational, f.prime)
-        unit = self.rational / Q(f.prime) ** v
-        return RVValue(Q(v), unit, f.prime)
+        v, digit = _padic_lead(self.rational, f.prime)
+        return RVValue(Q(v), Q(digit), f.prime)
 
     def norm_of_difference(self, other: "FieldElement") -> NormValue:
         """|self - other|, with a scan that avoids building the difference."""
         self._check(other)
         f = self.field
         if not f.is_series:
-            return NormValue(Q(_padic_valuation(self.rational - other.rational,
-                                                f.prime))) \
-                if self.rational != other.rational else NormValue.zero()
+            d = self.rational - other.rational
+            return NormValue(Q(_padic_lead(d, f.prime)[0])) if d \
+                else NormValue.zero()
         if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
             return NormValue.zero() if got is None else NormValue(got[0])
@@ -708,23 +700,6 @@ def _padic_lead(q: Fraction, p: int) -> tuple[int, int]:
         d //= p
         v -= 1
     return v, n * pow(d, -1, p) % p
-
-
-def _padic_valuation(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 # ---------------------------------------------------------------------------

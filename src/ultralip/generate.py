@@ -26,7 +26,7 @@ from .field import (
     Point,
     Q,
 )
-from .geometry import AnnulusBox, Cell1D, ExactBox, cells_intersect
+from .geometry import AnnulusBox, Cell1D, ExactBox, first_intersecting_pair
 from .lipschitz import FiniteFunction, is_lipschitz, terms_lipschitz_ok
 from .extension import GraphBranch, GraphFamily
 from .serialize import Instance, emit_instance
@@ -187,10 +187,8 @@ def random_cell_family(rng, field, window: tuple[int, int],
             coarse = Cell1D(coarse_center,
                             (ExactBox(field.monomial(level, 2).rv()),))
             cells.extend([fine, coarse][:room])
-    for i, a in enumerate(cells):
-        for b in cells[i + 1:]:
-            if cells_intersect(a, b):
-                raise RuntimeError("generator produced intersecting cells")
+    if first_intersecting_pair(cells) is not None:
+        raise RuntimeError("generator produced intersecting cells")
     return cells
 
 

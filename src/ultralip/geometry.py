@@ -57,14 +57,15 @@ def realizable_exponent_between(lower: CutValue, upper: CutValue,
                                 field: FieldDescriptor) -> Fraction | None:
     """An exponent e with theta(e) inside both bounds, or None.
 
-    Realizability depends on the backend: t-adic exponents are integers,
-    puiseux exponents are dense rationals.
+    Both cuts are inclusion bounds: an attained endpoint is included.
+    Realizability depends on the backend: only puiseux has a dense value
+    group; t-adic and p-adic exponents are integers.
     """
     if upper.norm.is_zero:
         return None
     qu = upper.norm.exponent  # theta(e) <= upper  <=>  e >= qu (with flag)
     ql = None if lower.norm.is_zero else lower.norm.exponent
-    if field.kind == "t-adic":
+    if not field.dense_value_group:
         e_min = math.ceil(qu) if upper.attained else math.floor(qu) + 1
         if ql is None:
             return Q(e_min)
@@ -84,6 +85,18 @@ def realizable_exponent_between(lower: CutValue, upper: CutValue,
     if lower.attained:
         return ql
     return (qu + ql) / 2
+
+
+def _norms_meet(field: FieldDescriptor, lowers, uppers) -> Fraction | None:
+    """An exponent whose norm satisfies every lower and every upper bound.
+
+    For lower bounds the cut order is the inclusion order, so the largest
+    cut is the strictest.  For upper bounds it is not: at one norm r the
+    attained cut (|v| <= r) sorts below the unattained one (|v| < r), so
+    the strictest upper bound is the least norm, unattained on a tie.
+    """
+    upper = min(uppers, key=lambda c: (c.norm, c.attained))
+    return realizable_exponent_between(max(lowers), upper, field)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +157,9 @@ def box_contains_rv(box: RVBox, v: RVValue, field: FieldDescriptor) -> bool:
 
 
 def box_is_empty(box: RVBox, field: FieldDescriptor) -> bool:
-    if isinstance(box, ExactBox):
+    if isinstance(box, ExactBox) or box.contains_zero:
         return False
-    if box.contains_zero:
-        return False
-    return realizable_exponent_between(box.lower, box.upper, field) is None
+    return _norms_meet(field, (box.lower,), (box.upper,)) is None
 
 
 def box_representative_rv(box: RVBox, field: FieldDescriptor) -> RVValue:
@@ -171,20 +182,6 @@ def _box_min_cut(box: RVBox) -> CutValue:
     return box.lower
 
 
-def _norm_range_overlap(b1: AnnulusBox, b2: AnnulusBox,
-                        field: FieldDescriptor,
-                        strictly_above: NormValue | None = None) -> bool:
-    lower = max(b1.lower, b2.lower)
-    upper = min(b1.upper, b2.upper)
-    if strictly_above is not None and not strictly_above.is_zero:
-        floor_cut = CutValue(strictly_above, False)  # exclusive bound
-        if floor_cut > lower:
-            lower = floor_cut
-    if upper < lower:
-        return False
-    return realizable_exponent_between(lower, upper, field) is not None
-
-
 def _box_unit_set_at(box: RVBox, n: NormValue, field: FieldDescriptor):
     """Unit constraints at a given norm: None = all units, () = none, (u,) = one."""
     if isinstance(box, ExactBox):
@@ -198,18 +195,10 @@ def _box_unit_set_at(box: RVBox, n: NormValue, field: FieldDescriptor):
 
 def boxes_disjoint(b1: RVBox, b2: RVBox, field: FieldDescriptor) -> bool:
     """Whether two boxes are disjoint as subsets of RV."""
-    if isinstance(b1, ExactBox):
-        if isinstance(b2, ExactBox):
-            return b1.rv != b2.rv
-        return not box_contains_rv(b2, b1.rv, field)
-    if isinstance(b2, ExactBox):
-        return not box_contains_rv(b1, b2.rv, field)
-    if b1.contains_zero and b2.contains_zero:
+    zero = RVValue.zero()
+    if box_contains_rv(b1, zero, field) and box_contains_rv(b2, zero, field):
         return False
-    if b1.unit is not None and b2.unit is not None \
-            and not _units_equal(b1.unit, b2.unit, field):
-        return True
-    return not _norm_range_overlap(b1, b2, field)
+    return not _common_rv_exists(b1, b2, field)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +314,22 @@ def dist_to_set(x, targets) -> CutValue:
 def _common_rv_exists(b1: RVBox, b2: RVBox, field: FieldDescriptor,
                       strictly_above: NormValue | None = None) -> bool:
     """Whether some nonzero rv lies in both boxes (optionally with norm > bound)."""
-    if isinstance(b1, ExactBox):
-        if b1.rv.is_zero:
-            return False
-        if strictly_above is not None and not b1.rv.norm > strictly_above:
-            return False
-        return box_contains_rv(b2, b1.rv, field)
     if isinstance(b2, ExactBox):
-        return _common_rv_exists(b2, b1, field, strictly_above)
+        b1, b2 = b2, b1
+    if isinstance(b1, ExactBox):
+        v = b1.rv
+        return not v.is_zero \
+            and (strictly_above is None or v.norm > strictly_above) \
+            and box_contains_rv(b2, v, field)
+    # units before norms: a constraint that is no p-adic unit raises here,
+    # and the generator's retries, hence its output, follow which test raises
     if b1.unit is not None and b2.unit is not None \
             and not _units_equal(b1.unit, b2.unit, field):
         return False
-    return _norm_range_overlap(b1, b2, field, strictly_above)
+    lowers = [b1.lower, b2.lower]
+    if strictly_above is not None:
+        lowers.append(CutValue(strictly_above, False))  # exclusive bound
+    return _norms_meet(field, lowers, (b1.upper, b2.upper)) is not None
 
 
 def _shifted_unit_pair_exists(u1_set, u2_set, lam: Fraction,
@@ -409,19 +402,22 @@ def cells_intersect(c1: Cell1D, c2: Cell1D) -> bool:
     return False
 
 
+def first_intersecting_pair(cells) -> tuple[Cell1D, Cell1D] | None:
+    """The first two cells of a sequence, in scan order, that intersect."""
+    for i, a in enumerate(cells):
+        for b in cells[i + 1:]:
+            if cells_intersect(a, b):
+                return a, b
+    return None
+
+
 def _box_allows_norm_below(box: RVBox, bound: CutValue,
                            field: FieldDescriptor) -> bool:
     """Whether the box has a member with norm strictly below |d| (0 included)."""
     if isinstance(box, ExactBox):
-        if box.rv.is_zero:
-            return True
-        return satisfies_upper(box.rv.norm, bound)
-    if box.contains_zero:
-        return True
-    upper = min(box.upper, bound)
-    if upper < box.lower:
-        return False
-    return realizable_exponent_between(box.lower, upper, field) is not None
+        return box.rv.is_zero or satisfies_upper(box.rv.norm, bound)
+    return box.contains_zero \
+        or _norms_meet(field, (box.lower,), (box.upper, bound)) is not None
 
 
 # ---------------------------------------------------------------------------

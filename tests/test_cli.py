@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import warnings
 from fractions import Fraction as Q
@@ -14,10 +15,15 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ultralip import cli
+from ultralip import cli, extension
 from ultralip.cli import main, run_instance
-from ultralip.extension import ExtendedFunction, _fiberwise
-from ultralip.field import FieldDescriptor, NormValue
+from ultralip.extension import (
+    ExtendedFunction,
+    GraphBranch,
+    GraphFamily,
+    _fiberwise,
+)
+from ultralip.field import CutValue, FieldDescriptor, NormValue
 from ultralip.generate import (
     PROFILES,
     generate,
@@ -25,7 +31,7 @@ from ultralip.generate import (
     generate_vanishing_pair,
     sample_points,
 )
-from ultralip.geometry import Cell1D, cell_member, cells_intersect
+from ultralip.geometry import AnnulusBox, Cell1D, cell_member, cells_intersect
 from ultralip.lipschitz import FiniteFunction, is_lipschitz
 from ultralip.serialize import (
     Instance,
@@ -746,3 +752,73 @@ def test_combined_fiber_refusal_names_the_fiber(tmp_path, seed, size):
     assert "combined fiber" in err.getvalue()
     assert "input is not" not in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# -- box decisions and graph origins through the CLI ----------------------------------
+
+
+def _one_cell(field, *boxes):
+    return {"task": "extend-cell", "field": field,
+            "cells": [{"center": "0", "boxes": [{"annulus": b} for b in boxes]}],
+            "pieces": [{"slope": "1", "intercept": "0"}]}
+
+
+def _cut(ord_, attained):
+    return {"ord": ord_, "attained": attained}
+
+
+def test_sphere_and_half_open_annulus_make_one_cell(tmp_path):
+    # |x| = theta(1) and theta(3) <= |x| < theta(1) share no norm
+    payload = _one_cell({"kind": "t-adic"},
+                        {"lower": _cut(1, True), "upper": _cut(1, True)},
+                        {"lower": _cut(3, True), "upper": _cut(1, False)})
+    rc, out_path = _report(tmp_path, payload, "extend-cell")
+    assert rc == 0
+    report = json.loads(open(out_path).read())
+    rc, vr = _verify(tmp_path, report)
+    assert rc == 0 and all(v["pass"] for v in vr["verdicts"])
+
+
+def test_empty_padic_annulus_exits_2(tmp_path):
+    # no integer exponent lies strictly between 1 and 2
+    payload = _one_cell({"kind": "p-adic", "prime": 3},
+                        {"lower": _cut(2, False), "upper": _cut(1, False)})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc, _ = _report(tmp_path, payload, "extend-cell")
+    assert rc == 2
+    assert "is empty over p-adic" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def _vanishing_graphs_payload():
+    # f = t*u on the unit sphere, graph x2 = 0: the origin value is 0
+    base = Cell1D(T.zero(), (AnnulusBox(CutValue(NORM_ONE, True),
+                                        CutValue(NORM_ONE, True)),))
+    branch = GraphBranch(T.zero(), T.zero(), t(1), T.zero())
+    family = GraphFamily((base,), ((branch,),))
+    return emit_instance(Instance("extend-graphs", T, family=family))
+
+
+@pytest.mark.parametrize("vanishing", [False, True])
+def test_extend_graphs_finds_the_origins_once(tmp_path, vanishing):
+    payload = _vanishing_graphs_payload() if vanishing \
+        else generate(1, "graphs")
+    inst_path = _write(tmp_path, "inst.json", payload)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is extension.origins.__code__:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        rc = main(["extend-graphs", "-i", inst_path,
+                   "-o", str(tmp_path / "report.json")])
+    finally:
+        sys.setprofile(None)
+    assert rc == 0
+    report = json.loads(open(tmp_path / "report.json").read())
+    assert report["provenance"] == ("graph-fiberwise" if vanishing
+                                    else "graph-fiberwise-reduced")
+    assert len(calls) == 1

@@ -425,3 +425,93 @@ def test_padic_hash_is_structural(x, y):
     for z in (a, a + b, a * b, parse_element(P3, a.to_text())):
         assert hash(z) == hash((z.field, z.rational))
     assert hash((a + b) - b) == hash(a)
+
+
+# -- Euclid on rational exponents --------------------------------------------
+
+
+def _canonical_fraction_scaled(num, den):
+    """The reduction as it ran when Euclid saw integer exponents only: the
+    exponents were scaled by the lcm N of their denominators, and the
+    quotients scaled back by 1/N."""
+    if not num:
+        return (), field._ONE_POLY
+    if den is field._ONE_POLY:
+        return num, den
+    d0 = field._ord(den)
+    if d0 != 0:
+        den = field._pshift(den, -d0)
+        num = field._pshift(num, -d0)
+    if len(num) > 1 and len(den) > 1:
+        scale = 1
+        for e, _ in num + den:
+            scale = scale * e.denominator // math.gcd(scale, e.denominator)
+        n0 = field._ord(num)
+        nshift = field._pshift(num, -n0)
+        if scale != 1:
+            nshift = tuple((e * scale, c) for e, c in nshift)
+            dint = tuple((e * scale, c) for e, c in den)
+        else:
+            dint = den
+        g = field._pgcd_int(nshift, dint)
+        if len(g) > 1 or g[0][0] != 0:
+            nshift, _ = field._pdivmod_int(nshift, g)
+            dint, _ = field._pdivmod_int(dint, g)
+            if scale != 1:
+                nshift = tuple((e / scale, c) for e, c in nshift)
+                dint = tuple((e / scale, c) for e, c in dint)
+            num = field._pshift(nshift, n0)
+            den = dint
+    lead = den[0][1]
+    if lead != 1:
+        den = field._pscale(den, 1 / lead)
+        num = field._pscale(num, 1 / lead)
+    return num, (field._ONE_POLY if len(den) == 1 else den)
+
+
+def _sixths_poly(min_size):
+    terms = st.tuples(st.builds(Q, st.integers(-6, 12), st.just(6)),
+                      st.integers(-3, 3).filter(bool).map(Q))
+    return st.lists(terms, min_size=min_size, max_size=3).map(
+        lambda ts: field._normalize_terms(PX, ts)).filter(
+        lambda p: len(p) >= min_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sixths_poly(1), _sixths_poly(1), _sixths_poly(0))
+def test_euclid_on_rational_exponents_matches_the_scaled_route(n, d, c):
+    # N*C / D*C with exponents in (1/6)Z; C is often a common factor to cancel
+    c = c or field._ONE_POLY
+    num, den = field._pmul(n, c), field._pmul(d, c)
+    assert field._canonical_fraction(num, den) \
+        == _canonical_fraction_scaled(num, den)
+
+
+# -- one p-adic valuation routine --------------------------------------------
+
+
+def _valuation_by_division(q, p):
+    """The valuation as computed before _padic_lead gave it."""
+    v, n = 0, q.numerator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    if v:
+        return v
+    d = q.denominator
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), rationals.filter(bool), rationals,
+       st.integers(-4, 4))
+def test_padic_norm_and_rv_match_the_division_formulas(p, x, y, k):
+    fd = FieldDescriptor("p-adic", prime=p)
+    q = x * Q(p) ** k
+    a, b = fd.from_rational(q), fd.from_rational(y)
+    v = _valuation_by_division(q, p)
+    assert a.norm() == theta(v)
+    assert a.rv() == RVValue(Q(v), q / Q(p) ** v, p)
+    want = ZERO if q == y else theta(_valuation_by_division(q - y, p))
+    assert a.norm_of_difference(b) == want

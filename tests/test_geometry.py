@@ -9,6 +9,7 @@ from ultralip.field import (
     CutValue,
     FieldDescriptor,
     NormValue,
+    RVValue,
 )
 from ultralip.geometry import (
     AnnulusBox,
@@ -17,6 +18,9 @@ from ultralip.geometry import (
     ExactBox,
     GeometryError,
     RecenterError,
+    _box_allows_norm_below,
+    _common_rv_exists,
+    box_is_empty,
     boxes_disjoint,
     cell_member,
     cells_intersect,
@@ -228,3 +232,136 @@ def test_ball_membership():
     assert c.contains(t(1)) and not c.contains(T.one())
     with pytest.raises(GeometryError):
         Ball(T.zero(), ZERO, "open")
+
+
+# -- one norm-range meet: an rv-grid oracle ----------------------------------------
+
+P3 = FieldDescriptor("p-adic", prime=3)
+
+
+def _in_box(box, e, unit, field) -> bool:
+    """Membership of rv(e, unit), or of rv(0) when e is None, read off the
+    box's definition with no library helper."""
+    if isinstance(box, ExactBox):
+        if e is None or box.rv.is_zero:
+            return e is None and box.rv.is_zero
+        return box.rv == RVValue(e, unit, field.prime)
+    if e is None:
+        return box.lower.norm.is_zero and box.lower.attained \
+            and box.unit is None
+    return _norm_ok(e, box.lower, box.upper) and (
+        box.unit is None
+        or RVValue(e, box.unit, field.prime) == RVValue(e, unit, field.prime))
+
+
+def _norm_ok(e, lower, upper) -> bool:
+    """theta(e) inside the inclusion bounds lower and upper; exponents order
+    norms backwards."""
+    if not lower.norm.is_zero:
+        ql = lower.norm.exponent
+        if not (e <= ql if lower.attained else e < ql):
+            return False
+    qu = upper.norm.exponent
+    return e >= qu if upper.attained else e > qu
+
+
+def _grid(field, boxes, extra_exponents=()):
+    """rv(0) and every rv value that can decide a question about the boxes:
+    exponents from two below the lowest bound to two above the highest
+    (steps of 1, or 1/4 on the dense group), with every constrained unit
+    and one fresh unit, or every residue on p-adic."""
+    exps = list(extra_exponents)
+    units = set()
+    for b in boxes:
+        if isinstance(b, ExactBox):
+            if not b.rv.is_zero:
+                exps.append(b.rv.exponent)
+                units.add(b.rv.unit)
+            continue
+        exps += [c.norm.exponent for c in (b.lower, b.upper)
+                 if not c.norm.is_zero]
+        if b.unit is not None:
+            units.add(b.unit)
+    step = Q(1, 4) if field.dense_value_group else Q(1)
+    e, top = min(exps) - 2, max(exps) + 2
+    if field.mixed_characteristic:
+        units = {Q(r) for r in range(1, field.prime)}
+    else:
+        units.add(Q(101))  # fresh: no box constrains it
+    grid = [(None, None)]
+    while e <= top:
+        grid += [(e, u) for u in sorted(units)]
+        e += step
+    return grid
+
+
+def _exponents(field):
+    if field.dense_value_group:
+        return st.integers(-4, 4).map(lambda k: Q(k, 2))
+    return st.integers(-2, 2).map(Q)
+
+
+@st.composite
+def _boxes(draw, field):
+    units = st.sampled_from([Q(1), Q(2), Q(-1), Q(4)])
+    if draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return ExactBox(RVValue.zero())
+        return ExactBox(RVValue(draw(_exponents(field)), draw(units),
+                                field.prime))
+    a, b = draw(_exponents(field)), draw(_exponents(field))
+    lower_norm = ZERO if draw(st.integers(0, 4)) == 0 else theta(max(a, b))
+    lower = CutValue(lower_norm, draw(st.booleans()))
+    upper = CutValue(theta(min(a, b)), draw(st.booleans()))
+    try:
+        return AnnulusBox(lower, upper, draw(st.one_of(st.none(), units)))
+    except GeometryError:  # bounds out of order in the cut order
+        return AnnulusBox(lower, CutValue(upper.norm, False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from([T, PX, P3]))
+def test_box_decisions_agree_with_an_rv_grid(data, field):
+    b1, b2 = data.draw(_boxes(field)), data.draw(_boxes(field))
+    n = data.draw(_exponents(field))
+    bound = CutValue(theta(n), data.draw(st.booleans()))
+    grid = _grid(field, (b1, b2), (n,))
+    in1 = {v for v in grid if _in_box(b1, *v, field)}
+    in2 = {v for v in grid if _in_box(b2, *v, field)}
+    both = in1 & in2
+    nonzero_both = {v for v in both if v[0] is not None}
+
+    assert box_is_empty(b1, field) == (not in1)
+    assert boxes_disjoint(b1, b2, field) == (not both)
+    assert _common_rv_exists(b1, b2, field) == bool(nonzero_both)
+    assert _common_rv_exists(b1, b2, field, strictly_above=theta(n)) \
+        == any(e < n for e, _ in nonzero_both)
+    assert _box_allows_norm_below(b1, bound, field) == any(
+        e is None or (e >= n if bound.attained else e > n) for e, _ in in1)
+
+
+def test_sphere_and_half_open_annulus_share_no_norm():
+    # |x| = theta(1) and theta(3) <= |x| < theta(1): the endpoint theta(1)
+    # is excluded from the annulus, so the boxes are disjoint
+    cell = Cell1D(T.zero(), (sphere_box(1), AnnulusBox(cut(3), cut(1, False))))
+    assert cell.contains(t(1)) and cell.contains(t(2)) and cell.contains(t(3))
+    assert not cell.contains(t(0)) and not cell.contains(t(4))
+
+
+def test_sphere_misses_the_open_ball_of_its_radius():
+    # {rv(x - t) = rv(-t)} is the open ball |x| < theta(1) around 0
+    sphere = Cell1D(T.zero(), (sphere_box(1),))
+    ball = Cell1D(t(1), (ExactBox((-t(1)).rv()),))
+    assert ball.contains(t(2)) and ball.contains(T.zero())
+    assert not ball.contains(t(1)) and sphere.contains(t(1))
+    assert not cells_intersect(sphere, ball)
+    assert not cells_intersect(ball, sphere)
+
+
+def test_padic_exponents_are_integers():
+    # no integer lies strictly between 1 and 2
+    annulus = AnnulusBox(cut(2, False), cut(1, False))
+    assert box_is_empty(annulus, P3)
+    assert realizable_exponent_between(cut(2, False), cut(1, False), P3) is None
+    with pytest.raises(GeometryError, match="is empty over p-adic"):
+        Cell1D(P3.zero(), (annulus,))
