@@ -271,6 +271,11 @@ class _Ladder:
     the piece (None, root), the root's class data, decides, making the
     value independent of the base coordinate far out.  Each data dict is
     extended along the fiber once, by extend_fiber.
+
+    All fiber keys share one ball tree, and every scale's open balls of
+    keys are nodes of it, read off each key's root-to-leaf path.  So an
+    evaluation walks the base tree once and the key tree once, the latter
+    only as deep as the base scale reached.
     """
 
     def __init__(self, bases: list, fibers: list[dict], extend_fiber):
@@ -279,8 +284,30 @@ class _Ladder:
         self.fibers = fibers
         self.extend_fiber = extend_fiber
         self.tree = BallTree(bases)
+        # the keys in sort_key order, and each fiber's keys as indices into
+        # them: every key is hashed once per fiber that holds it
+        first: dict = {}
+        held = [[first.setdefault(k, len(first)) for k in fiber]
+                for fiber in fibers]
+        seen = list(first)
+        order = sorted(range(len(seen)), key=lambda j: seen[j].sort_key())
+        rank = {j: i for i, j in enumerate(order)}
+        self.keys = [seen[j] for j in order]
+        self._fiber_keys = [[rank[j] for j in js] for js in held]
+        self.key_tree = BallTree(self.keys)
+        # key index -> the key-tree nodes from the root to its leaf
+        self._paths: list[list[Ball]] = [[] for _ in self.keys]
+        stack = [(self.key_tree.root, [])]
+        while stack:
+            ball, path = stack.pop()
+            path = path + [ball]
+            if ball.children:
+                stack.extend((c, path) for c in ball.children.values())
+            else:
+                for m in ball.members:
+                    self._paths[m] = path
         self._data: dict[tuple, dict] = {}
-        self._grid: dict[int, tuple[BallTree, dict]] = {}
+        self._grid: dict[int, tuple[frozenset, dict]] = {}
         self._pieces: dict[int, Callable] = {}  # by id of the data dict
 
     def _data_of(self, parent: Ball | None, node: Ball) -> dict:
@@ -299,36 +326,48 @@ class _Ladder:
             self._data[key] = got
         return got
 
-    def _grid_of(self, node: Ball) -> tuple[BallTree, dict]:
-        """The ball tree of the fiber keys over node, and each key's open
-        ball of radius theta(node.radius): the first tree node on the
+    def _grid_of(self, node: Ball) -> tuple[frozenset, dict]:
+        """The open balls of radius theta(node.radius) that hold a fiber key
+        over node, and each such key's ball: the first key-tree node on the
         key's path whose radius exponent exceeds node.radius."""
         got = self._grid.get(id(node))
         if got is None:
-            keys = sorted({k for i in node.members for k in self.fibers[i]},
-                          key=lambda k: k.sort_key())
-            tree = BallTree(keys)
+            r = node.radius
             ball_of = {}
-            stack = [tree.root]
-            while stack:
-                ball = stack.pop()
-                if ball.radius > node.radius:
-                    ball_of.update((keys[m], ball) for m in ball.members)
-                else:
-                    stack.extend(ball.children.values())
-            got = self._grid[id(node)] = tree, ball_of
+            for j in {j for i in node.members for j in self._fiber_keys[i]}:
+                ball_of[self.keys[j]] = next(
+                    b for b in self._paths[j] if b.radius > r)
+            got = self._grid[id(node)] = frozenset(ball_of.values()), ball_of
         return got
 
     def view(self, u, v) -> Callable:
-        """The fiber extension that answers at base u and fiber point v."""
+        """The fiber extension that answers at base u and fiber point v.
+
+        The walk goes down the base tree toward u, and down the key tree
+        toward v as far as each base scale r needs: there v's open ball of
+        radius theta(r) is the first node on v's way whose radius exceeds
+        r, if v lies within theta(r) of that node's center, and the base
+        walk goes on while a key over the base node lies in that ball.
+        """
+        key_tree = self.key_tree
+        ball, step = key_tree.root, None  # entered, and its step once taken
         parent = None
         current = self.tree.root
         while current.children:
             child = self.tree.child_toward(current, u)
             if child is None:
                 break
-            _, d = self._grid_of(current)[0].locate(v)
-            if not d > current.radius:
+            r = current.radius
+            while True:
+                if step is None:
+                    step = key_tree._step(ball, v)
+                if ball.radius > r or step[1] is None:
+                    break
+                ball, step = step[1], None
+            # step[0] is v's distance exponent to the ball's center, or the
+            # ball's radius when v lies in one of its children
+            if not (ball.radius > r and step[0] > r
+                    and ball in self._grid_of(current)[0]):
                 break
             parent, current = current, child
         # (None, root) and (root, first child) share one data dict

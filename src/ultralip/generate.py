@@ -32,6 +32,8 @@ from .extension import GraphBranch, GraphFamily
 from .serialize import Instance, emit_instance
 
 PROFILES = ("finite-line", "finite-plane", "finite-nd", "cells-line", "graphs")
+# finite profile -> (dimension, largest size drawn when none is given)
+_FINITE = {"finite-line": (1, 8), "finite-plane": (2, 6), "finite-nd": (3, 5)}
 
 
 def random_element(rng: random.Random, field: FieldDescriptor,
@@ -247,20 +249,24 @@ def generate_instance(seed: int, profile: str,
         raise ValueError(f"instance size must be at least 1, got {size}")
     if field is None:
         field = FieldDescriptor("t-adic")
+    if size is not None and profile in _FINITE and not field.is_series:
+        # a p-adic draw is 0 or u * p^e with e in the window and one of
+        # 4 * (p - 1) units u, so a point has one of count^n values
+        lo, hi = window
+        count = ((hi - lo + 1) * (field.prime - 1) * 4 + 1) ** _FINITE[profile][0]
+        if size > count:
+            raise ValueError(
+                f"{profile} over p-adic {field.prime} in the window {lo},{hi} "
+                f"can draw only {count} distinct points, fewer than size {size}")
     profile_index = PROFILES.index(profile)
     for attempt in range(50):
         # integer-only seed derivation: string hashes are salted per process
         rng = random.Random(seed * 1_000_003 + profile_index * 7919 + attempt)
         try:
-            if profile == "finite-line":
-                return _finite_instance(rng, field, 1,
-                                        size or rng.randint(2, 8), window)
-            if profile == "finite-plane":
-                return _finite_instance(rng, field, 2,
-                                        size or rng.randint(2, 6), window)
-            if profile == "finite-nd":
-                return _finite_instance(rng, field, 3,
-                                        size or rng.randint(2, 5), window)
+            if profile in _FINITE:
+                n, most = _FINITE[profile]
+                return _finite_instance(rng, field, n,
+                                        size or rng.randint(2, most), window)
             if profile == "cells-line":
                 return _cells_instance(rng, field, size or 6, window)
             return _graphs_instance(rng, field, size, window)

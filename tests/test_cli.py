@@ -9,6 +9,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 import warnings
 from fractions import Fraction as Q
 
@@ -730,6 +731,27 @@ def test_generate_giving_up_exits_2(tmp_path):
     # fewer than the eight distinct points asked for
     assert main(["generate", "--window", "0,0", "--size", "8",
                  "-o", str(tmp_path / "i.json")]) == 2
+
+
+@pytest.mark.parametrize("profile,prime,count", [
+    ("finite-line", 3, 105), ("finite-line", 5, 209), ("finite-plane", 3, 105 ** 2)])
+def test_padic_size_beyond_the_point_space_exits_2_at_once(tmp_path, profile,
+                                                          prime, count):
+    # 13 exponents in the window -6,6, 4 * (p - 1) units each, and zero
+    args = ["generate", "--profile", profile, "--field", "p-adic",
+            "--prime", str(prime), "-o", str(tmp_path / "i.json")]
+    err = io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stderr(err):
+        assert main(args + ["--size", str(count + 1)]) == 2
+    assert time.process_time() - start < 1
+    assert f"only {count} distinct points" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    with pytest.raises(ValueError, match=f"only {count} distinct"):
+        generate_instance(0, profile, FieldDescriptor("p-adic", prime),
+                          size=count + 1)
+    if profile == "finite-line":  # every point of the space can be drawn
+        assert main(args + ["--size", str(count)]) == 0
 
 
 @pytest.mark.parametrize("seed,size", [(0, 8), (4, 16)])

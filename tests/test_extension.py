@@ -440,6 +440,60 @@ def test_combine_by_tree_balls_matches_pairwise_combine(ladder):
                 assert ladder._data_of(parent, child) == got
 
 
+def _reference_view(ladder, u, v):
+    """The walk the ladder ran before it shared one key tree: at each base
+    node, a ball tree of the fiber keys over it and the distance exponent
+    of v to the nearest of them.  The reference for _Ladder.view."""
+    parent, current = None, ladder.tree.root
+    while current.children:
+        child = ladder.tree.child_toward(current, u)
+        if child is None:
+            break
+        keys = sorted({k for i in current.members for k in ladder.fibers[i]},
+                      key=lambda k: k.sort_key())
+        _, d = BallTree(keys).locate(v)
+        if not d > current.radius:
+            break
+        parent, current = current, child
+    return ladder._data_of(parent, current)
+
+
+@st.composite
+def _ladder_queries(draw):
+    """A ladder, and base and fiber points.  Base points are drawn like
+    the bases, so they often hit one; fiber points are keys, keys moved by
+    exactly theta(r) for a base radius r, and free elements."""
+    ladder = draw(_ladders())
+    field = next(iter(ladder.fibers[0].values())).field
+    radii = [n.radius for n in ladder.tree.nodes if n.children]
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = draw(_ladder_elements(field))
+        key = draw(st.sampled_from(ladder.keys))
+        coords = list(key.coords) if isinstance(key, Point) else [key]
+        how = draw(st.sampled_from(["key", "moved", "free"]))
+        if how == "moved":
+            i = draw(st.integers(0, len(coords) - 1))
+            coords[i] = coords[i] + field.monomial(
+                draw(st.sampled_from(radii)), draw(st.sampled_from([1, -1, 2])))
+        elif how == "free":
+            coords = [draw(_ladder_elements(field)) for _ in coords]
+        queries.append((u, Point(tuple(coords)) if isinstance(key, Point)
+                        else coords[0]))
+    return ladder, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ladder_queries())
+def test_ladder_view_matches_per_node_trees(case):
+    ladder, queries = case
+    ladder.extend_fiber = lambda data: data  # view returns the piece's data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        for u, v in queries:
+            assert ladder.view(u, v) is _reference_view(ladder, u, v)
+
+
 def test_ladder_combine_costs_few_differences(monkeypatch):
     # the pairwise combine made 2,701 differences on this run
     inst = parse_instance(json.dumps(generate(1, "finite-plane", T, 48)))
@@ -454,6 +508,58 @@ def test_ladder_combine_costs_few_differences(monkeypatch):
     monkeypatch.setattr(FieldElement, "norm_of_difference", counted)
     run_instance(inst, 1, 60, (-6, 6), None)
     assert calls <= 1000
+
+
+def test_ladder_walk_costs_few_steps(monkeypatch):
+    # one locate per base level in a per-node key tree took 10,600 steps on
+    # this run; one walk of the shared key tree takes 2,979
+    inst = parse_instance(json.dumps(generate(1, "finite-plane", T, 48)))
+    steps = 0
+    step = BallTree._step
+
+    def counted(self, node, x):
+        nonlocal steps
+        steps += 1
+        return step(self, node, x)
+
+    monkeypatch.setattr(BallTree, "_step", counted)
+    run_instance(inst, 1, 60, (-6, 6), None)
+    assert steps <= 4000
+
+
+def test_ladder_builds_one_key_tree(monkeypatch):
+    # per ladder: the base tree, the key tree, and one tree per fiber piece
+    built = 0
+    tree_init = BallTree.__init__
+
+    def counted(self, keys):
+        nonlocal built
+        built += 1
+        tree_init(self, keys)
+
+    trees: dict[int, list] = {}  # id of the ladder -> [ladder, trees built]
+    init, view = _Ladder.__init__, _Ladder.view
+
+    def recording_init(self, *args):
+        before = built
+        init(self, *args)
+        trees[id(self)] = [self, built - before]
+
+    def recording_view(self, u, v):
+        before = built
+        got = view(self, u, v)
+        trees[id(self)][1] += built - before
+        return got
+
+    monkeypatch.setattr(BallTree, "__init__", counted)
+    monkeypatch.setattr(_Ladder, "__init__", recording_init)
+    monkeypatch.setattr(_Ladder, "view", recording_view)
+    for seed in range(3):
+        inst = parse_instance(json.dumps(generate(seed, "finite-plane", T, 48)))
+        run_instance(inst, seed, 60, (-6, 6), None)
+    assert trees
+    for ladder, count in trees.values():
+        assert count == 2 + len(ladder._pieces)
 
 
 def test_ladder_extends_each_data_dict_once(monkeypatch):
