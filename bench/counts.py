@@ -62,6 +62,8 @@ ENTRIES = {
     "cells-line": ("cells-line", None),
     "graphs": ("graphs", None),
     "union-glue": "t-adic/union-1.json",
+    "glue-vanishing-t-adic": "t-adic/vanishing-1.json",
+    "glue-vanishing-p-adic-3": "p-adic-3/vanishing-1.json",
     "unit-finite-plane": "t-adic/unit-finite-plane-0.json",
     "unit-finite-line": "puiseux/unit-finite-line-1.json",
 }

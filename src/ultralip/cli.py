@@ -242,8 +242,10 @@ def _run_glue(inst: Instance, rng, window, count):
     verdicts = [values_verdict(F, pairs, name)]
     if inst.parts is None:
         a_pts = list(inst.glue_a.domain())
-        bad = next((x for x in samples
-                    if glue_conditions(x, a_pts, b_points)
+        conditions = F.extras.get("conditions")
+        if conditions is None:  # a construction that keeps no conditions
+            conditions = partial(glue_conditions, a_set=a_pts, b_set=b_points)
+        bad = next((x for x in samples if conditions(x)
                     != glue_conditions_pointwise(x, a_pts, b_points)), None)
         verdicts.append(_point_verdict("condition-routes-agree", bad))
     values = [F(x) for x in samples]

@@ -79,10 +79,15 @@ class _NearestAverage:
     The nearest-point set is a node of the ball tree, so each node's
     average is computed on first use and kept, keyed by the node; the
     p-divisible-count warning still fires on every evaluation.
+
+    With value_of given, data maps each key to what value_of turns into
+    its value, and value_of is called only for the keys of the nodes that
+    some query reaches.
     """
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, value_of: Callable | None = None):
         self.values = list(data.values())
+        self.value_of = value_of
         self.tree = BallTree(list(data))
         self.averages: dict[Ball, FieldElement] = {}
 
@@ -92,8 +97,10 @@ class _NearestAverage:
         ball = self.tree.locate(x)[0]
         average = self.averages.get(ball)
         if average is None:
-            average = self.averages[ball] = sum_over_count(
-                [self.values[i] for i in ball.members])
+            values = [self.values[i] for i in ball.members]
+            if self.value_of is not None:
+                values = [self.value_of(v) for v in values]
+            average = self.averages[ball] = sum_over_count(values)
         warn_count(average.field, len(ball.members))
         return average
 
@@ -134,7 +141,13 @@ def _all_strictly_above(cut_a: CutValue, cut_b: CutValue) -> bool:
 
 
 def glue_conditions(x: Point, a_set, b_set) -> tuple[bool, bool]:
-    """The two symmetric nearness conditions, decided through distance cuts."""
+    """The two symmetric nearness conditions, decided through distance cuts.
+
+    cond1 holds when every point of B has a point of A strictly nearer to
+    x, cond2 when every point of A has a point of B strictly nearer, so
+    cond1 holds for an empty B and cond2 for an empty A.  glue_vanishing
+    takes this route for cell targets, alone or mixed with points.
+    """
     da = _dist_or_none(x, a_set)
     db = _dist_or_none(x, b_set)
     cond1 = True if db is None else (da is not None and _all_strictly_above(da, db))
@@ -143,15 +156,36 @@ def glue_conditions(x: Point, a_set, b_set) -> tuple[bool, bool]:
 
 
 def glue_conditions_pointwise(x: Point, a_points, b_points) -> tuple[bool, bool]:
-    """Quantifier evaluation over finite sets; must agree with the cut route."""
-    def strictly_nearer_exists(pool, bound):
-        return any(x.norm_of_difference(p) < bound for p in pool)
-
-    cond1 = all(strictly_nearer_exists(a_points, x.norm_of_difference(b))
-                for b in b_points)
-    cond2 = all(strictly_nearer_exists(b_points, x.norm_of_difference(a))
-                for a in a_points)
+    """Quantifier evaluation over finite sets, the reference for the cut
+    and tree routes.  Each distance to x is computed once, so the cost is
+    |A| + |B| differences and |A|·|B| norm comparisons."""
+    da = [x.norm_of_difference(a) for a in a_points]
+    db = [x.norm_of_difference(b) for b in b_points]
+    cond1 = all(any(d < bound for d in da) for bound in db)
+    cond2 = all(any(d < bound for d in db) for bound in da)
     return cond1, cond2
+
+
+def _tree_conditions(a_points: Sequence[Point], b_points: Sequence[Point]):
+    """The glue conditions on finite point sets, from one ball tree.
+
+    The nearest-point set of x in A + B is one node of its ball tree, so
+    cond1 (every point of B has a point of A strictly nearer) holds iff
+    that node holds no point of B, and cond2 iff it holds no point of A;
+    a shared point or a tie gives (False, False).  A node's members are
+    indices in input order, A's first, so its first and last member
+    decide.  With A + B empty both conditions hold, as on the cut route.
+    """
+    split = len(a_points)
+    tree = BallTree([*a_points, *b_points])
+
+    def conditions(x: Point) -> tuple[bool, bool]:
+        if tree.root is None:
+            return True, True
+        members = tree.locate(x)[0].members
+        return members[-1] < split, members[0] >= split
+
+    return conditions
 
 
 def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
@@ -161,7 +195,10 @@ def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
     a_data is a FiniteFunction (or a list of cells); b_set is a finite
     point list or cell list on which the glued function vanishes.  The
     result follows the condition table: the extension value where A is
-    strictly nearer, zero where B is at least tied.
+    strictly nearer, zero where B is at least tied.  When both sides are
+    finite point sets, the conditions are read off one ball tree of A + B
+    built here, one walk per evaluation; cell targets take the cut route
+    of glue_conditions.  The condition function is the 'conditions' extra.
     """
     F = extension_of_a
     if isinstance(a_data, FiniteFunction):
@@ -174,16 +211,22 @@ def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
     else:
         a_targets = list(a_data)
     b_targets = list(b_set)
+    if all(isinstance(p, Point) for p in (*a_targets, *b_targets)):
+        conditions = _tree_conditions(a_targets, b_targets)
+    else:
+        def conditions(x: Point) -> tuple[bool, bool]:
+            return glue_conditions(x, a_targets, b_targets)
 
     def evaluate(x: Point) -> FieldElement:
-        cond1, cond2 = glue_conditions(x, a_targets, b_targets)
+        cond1, cond2 = conditions(x)
         if cond1 and not cond2:
             return F.evaluator(x)
         return F.backend.zero()
 
     return ExtendedFunction(
         F.n, F.backend, "glue-vanishing", evaluate,
-        description={"a_size": len(list(a_targets)), "b_size": len(b_targets)})
+        description={"a_size": len(a_targets), "b_size": len(b_targets)},
+        extras={"conditions": conditions})
 
 
 def union_function(parts: Sequence[FiniteFunction]) -> FiniteFunction:
@@ -602,16 +645,21 @@ def origins(family: GraphFamily):
 
 
 def _fiberwise(family: GraphFamily, value_fn) -> ExtendedFunction:
+    """x -> the average of value_fn(ci, bi, x1) over the branches bi of
+    x1's base cell ci whose graph points phi_b(x1) are nearest to x2; zero
+    off the base cells.  The fiber is keyed by graph point first, so of
+    branches sharing one the last counts, at the first one's position, and
+    value_fn runs only for the nearest branches."""
     field = family.field
 
     def evaluate(x: Point) -> FieldElement:
         x1, x2 = x.coords
         for ci, cell in enumerate(family.base_cells):
             if cell.contains(x1):
-                data = {}
-                for bi, br in enumerate(family.branches[ci]):
-                    data[br.phi(x1)] = value_fn(ci, bi, x1)
-                return _NearestAverage(data)(x2)
+                fiber = {br.phi(x1): bi
+                         for bi, br in enumerate(family.branches[ci])}
+                return _NearestAverage(
+                    fiber, lambda bi: value_fn(ci, bi, x1))(x2)
         return field.zero()
 
     return ExtendedFunction(2, field, "graph-fiberwise", evaluate,

@@ -14,8 +14,11 @@ from ultralip.balltree import INF, BallTree
 from ultralip.cli import _pair_witness, _verdict, lipschitz_verdict
 from ultralip.extension import (
     ExtendedFunction,
+    _tree_conditions,
     extend_cell_risometry_line,
     extend_graph_family_via_reduction,
+    glue_conditions,
+    glue_conditions_pointwise,
 )
 from ultralip.field import FieldDescriptor, FieldElement, NormValue, Point
 from ultralip.generate import (
@@ -174,6 +177,79 @@ def test_tree_shape():
     assert BallTree([]).nearest(T.zero()) == ()
     repeated = BallTree([T.one(), T.one()])
     assert repeated.root.radius == INF and repeated.root.members == (0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_node_members_are_increasing_input_indices(data):
+    """The glue conditions read a node's first and last member: members
+    are input indices in increasing order, and a child's members are a
+    run of its parent's."""
+    f = data.draw(finite_functions())
+    keys = list(f.domain())
+    keys += data.draw(st.lists(st.sampled_from(keys), max_size=3))  # repeats
+    tree = BallTree(keys)
+    assert tree.root.members == tuple(range(len(keys)))
+    for node in tree.nodes:
+        assert list(node.members) == sorted(set(node.members))
+        assert node.center == node.members[0]
+        if node.children:
+            below = sorted(m for c in node.children.values()
+                           for m in c.members)
+            assert below == list(node.members)
+
+
+def _equidistant(a: Point, b: Point) -> Point:
+    """2b - a, at distance |a - b| from both a and b (p != 2)."""
+    return Point(tuple(bc + (bc - ac) for ac, bc in zip(a.coords, b.coords)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("field", [T, PX, P3],
+                         ids=["t-adic", "puiseux", "p-adic 3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tree_glue_conditions_match_the_cut_and_quantifier_routes(
+        data, field, n):
+    points = st.tuples(*[elements(field)] * n).map(Point)
+    a = data.draw(st.lists(points, max_size=5, unique=True), label="A")
+    b = data.draw(st.lists(points, max_size=4, unique=True), label="B")
+    if a and data.draw(st.booleans(), label="share a point"):
+        shared = data.draw(st.sampled_from(a))
+        b = b + [shared] if shared not in b else b
+    probes = a + b + [_equidistant(p, q) for p in a[:2] for q in b[:2]
+                      if p != q]
+    probes += data.draw(st.lists(points, max_size=4), label="probes")
+    probes.append(Point(tuple(field.zero() for _ in range(n))))
+    conditions = _tree_conditions(a, b)
+    for x in probes:
+        want = glue_conditions_pointwise(x, a, b)
+        assert conditions(x) == want == glue_conditions(x, a, b), x
+
+
+@pytest.mark.parametrize("field", [T, PX, P3],
+                         ids=["t-adic", "puiseux", "p-adic 3"])
+def test_tree_glue_conditions_at_named_points(field):
+    zero, one, two = field.zero(), field.one(), field.from_int(2)
+    a, b = [Point((zero,)), Point((one,))], [Point((two,))]
+    conditions = _tree_conditions(a, b)
+    assert conditions(Point((zero,))) == (True, False)   # at an A point
+    assert conditions(Point((two,))) == (False, True)    # at a B point
+    # a point of A and B: both nearest, so neither condition holds
+    shared = _tree_conditions(a, b + [a[1]])
+    assert shared(Point((one,))) == (False, False)
+    # equidistant from 0 and 2 (and from 1 on p-adic, nearer on the series)
+    tie = _equidistant(a[0], b[0])
+    assert conditions(tie) == glue_conditions_pointwise(tie, a, b)
+    assert _tree_conditions([a[0]], b)(tie) == (False, False)
+    assert _tree_conditions(a, [])(tie) == (True, False)
+    assert _tree_conditions([], b)(tie) == (False, True)
+    assert _tree_conditions([], [])(tie) == (True, True)
+    for x in (Point((zero,)), Point((two,)), tie):
+        for aa, bb in ((a, []), ([], b), ([], []), (a, b + [a[1]])):
+            assert _tree_conditions(aa, bb)(x) \
+                == glue_conditions(x, aa, bb) \
+                == glue_conditions_pointwise(x, aa, bb)
 
 
 def test_generator_walk_costs_linear_differences(monkeypatch):

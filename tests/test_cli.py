@@ -339,6 +339,59 @@ def test_glue_value_table_witness_at_a_b_point(monkeypatch, field):
     assert evaluated.count(b0) == 2
 
 
+def _flipped_conditions(monkeypatch, at, extras=None):
+    """Patch the glue construction so that its conditions flip at the
+    point at; extras, if given, replaces the extension's extras."""
+    real = cli.glue_vanishing
+
+    def patched(a, b, base):
+        F = real(a, b, base)
+        own = F.extras["conditions"]
+
+        def conditions(x):
+            c1, c2 = own(x)
+            return (not c1, not c2) if x == at else (c1, c2)
+
+        return dataclasses.replace(
+            F, extras={"conditions": conditions} if extras is None else extras)
+
+    monkeypatch.setattr(cli, "glue_vanishing", patched)
+
+
+@pytest.mark.parametrize("field", [T, P3])
+def test_condition_verdict_checks_the_extensions_own_route(
+        monkeypatch, tmp_path, field):
+    inst = generate_vanishing_pair(2, field, n=2, a_size=4, b_size=2)
+    b0 = inst.glue_b[0]
+    _flipped_conditions(monkeypatch, b0)
+    report = run_instance(inst, 2, 10, (-6, 6), None)
+    assert _named_verdict(report, "glue-value-table")["pass"]
+    verdict = _named_verdict(report, "condition-routes-agree")
+    assert verdict == {"name": "condition-routes-agree", "pass": False,
+                       "witness": {"x": b0.to_text()}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(emit_instance(inst)))
+    assert main(["glue", "-i", str(path), "-o", str(tmp_path / "r.json"),
+                 "--seed", "2", "--samples", "10"]) == 1
+
+
+def test_condition_verdict_falls_back_to_the_cut_route(monkeypatch):
+    inst = generate_vanishing_pair(2, T, n=1, a_size=4, b_size=2)
+    b0 = inst.glue_b[0]
+    _flipped_conditions(monkeypatch, b0, extras={})  # F keeps no conditions
+    real = cli.glue_conditions
+    cut = []
+
+    def recorded(x, a_set, b_set):
+        cut.append(x)
+        return real(x, a_set, b_set)
+
+    monkeypatch.setattr(cli, "glue_conditions", recorded)
+    report = run_instance(inst, 2, 10, (-6, 6), None)
+    assert _named_verdict(report, "condition-routes-agree")["pass"]
+    assert b0 in cut
+
+
 def test_permutation_invariant_failure_carries_both_skeletons(monkeypatch):
     real = cli.build_skeleton
     calls = []

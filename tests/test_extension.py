@@ -20,14 +20,16 @@ from ultralip.field import (
     Point,
     integer_average,
 )
-from ultralip.generate import generate, sample_points
-from ultralip.geometry import AnnulusBox, Cell1D, CutValue, ExactBox
+from ultralip.generate import generate, generate_instance, sample_points
+from ultralip.geometry import (AnnulusBox, Cell1D, CutValue, ExactBox,
+                               cell_member)
 from ultralip.lipschitz import (
     FiniteFunction,
     NotLipschitzError,
     finite_function_1d,
 )
 from ultralip.extension import (
+    ExtendedFunction,
     ExtensionError,
     GraphBranch,
     GraphFamily,
@@ -251,6 +253,34 @@ def test_glue_condition_routes_agree():
     for x in probes:
         assert glue_conditions(x, a_pts, b_pts) \
             == glue_conditions_pointwise(x, a_pts, b_pts)
+
+
+def test_glue_over_point_sets_reads_one_tree(monkeypatch):
+    def cut_route(*args):
+        raise AssertionError("point sets take the tree route")
+
+    builds = 0
+    init = BallTree.__init__
+
+    def counted(self, keys):
+        nonlocal builds
+        builds += 1
+        init(self, keys)
+
+    a = ff1([(T.zero(), t(1)), (t(1), t(1) + t(2))])
+    b_pts = [pt(T.one()), pt(T.from_int(2))]
+    F = extend_finite_line(a)
+    monkeypatch.setattr(extension, "glue_conditions", cut_route)
+    monkeypatch.setattr(BallTree, "__init__", counted)
+    G = glue_vanishing(a, b_pts, F)
+    assert builds == 1
+    probes = [pt(x) for x in (T.zero(), t(1), T.one(), t(3), t(-1))]
+    assert [G(x) for x in probes] == [t(1), t(1) + t(2), T.zero(), t(1),
+                                      T.zero()]
+    for x in probes:
+        assert G.extras["conditions"](x) \
+            == glue_conditions_pointwise(x, list(a.domain()), b_pts)
+    assert builds == 1
 
 
 def test_glue_value_table_finite():
@@ -722,6 +752,80 @@ def test_graph_family_validation():
     # phi1(u) = u and phi2(u) = 1 cross at u = 1, inside the sphere
     with pytest.raises(ExtensionError):
         GraphFamily((base,), (crossing,))
+
+
+def _eager_fiberwise(family, value_fn):
+    """The fiber with every branch value computed, then the nearest ones
+    averaged: the reference for the lazy fiber."""
+    def evaluate(x):
+        x1, x2 = x.coords
+        for ci, cell in enumerate(family.base_cells):
+            if cell.contains(x1):
+                data = {}
+                for bi, br in enumerate(family.branches[ci]):
+                    data[br.phi(x1)] = value_fn(ci, bi, x1)
+                return _NearestAverage(data)(x2)
+        return family.field.zero()
+
+    return ExtendedFunction(2, family.field, "graph-fiberwise", evaluate)
+
+
+@pytest.mark.parametrize("field", [T, PX, P3],
+                         ids=["t-adic", "puiseux", "p-adic 3"])
+def test_lazy_fibers_match_the_eager_reference(monkeypatch, field):
+    warned = 0
+    for seed in range(5):
+        family = generate_instance(seed, "graphs", field).family
+        olist, _ = origins(family)
+        assert not all(e.is_zero for _, e in olist)  # the reduced pipeline
+        anchors = [o for o, _ in olist] + [
+            pt(x1, br.phi(x1))
+            for cell, brs in zip(family.base_cells, family.branches)
+            for x1 in (cell_member(cell, i) for i in range(len(cell.boxes)))
+            for br in brs]
+        samples = sample_points(random.Random(seed), field, 2, anchors,
+                                (-6, 6), 60)
+
+        def run(make):
+            F = make(family)
+            with warnings.catch_warnings(record=True) as wlist:
+                warnings.simplefilter("always", PDivisibleCountWarning)
+                values = [F(x).to_text() for x in samples]
+            return values, _p_divisible_warnings(wlist)
+
+        def raw(ci, bi, x1):
+            return family.branches[ci][bi].value(x1)
+
+        lazy = run(extend_graph_family_via_reduction)
+        with monkeypatch.context() as m:
+            m.setattr(extension, "_fiberwise", _eager_fiberwise)
+            assert run(extend_graph_family_via_reduction) == lazy
+        assert run(lambda fam: extension._fiberwise(fam, raw)) \
+            == run(lambda fam: _eager_fiberwise(fam, raw))
+        warned += lazy[1]
+    # on p-adic 3 the warning counts compared are not all zero
+    assert (warned > 0) == (field is P3)
+
+
+def test_fiber_values_run_only_for_the_nearest_branches():
+    base = _unit_sphere_cell(T.zero())
+    graphs = (T.one(), -T.one(), T.one() + t(1))  # constant graph maps
+    fam = GraphFamily((base,), (tuple(
+        GraphBranch(T.zero(), c, T.zero(), c) for c in graphs),))
+    called = []
+
+    def value_fn(ci, bi, x1):
+        called.append(bi)
+        return fam.branches[ci][bi].value(x1)
+
+    F = extension._fiberwise(fam, value_fn)
+    u = T.one()
+    for x2, nearest in ((T.one() + t(2), [0]), (T.one() + t(1, 2), [0, 2]),
+                        (T.zero(), [0, 1, 2])):
+        called.clear()
+        want = integer_average([graphs[bi] for bi in nearest])
+        assert F(pt(u, x2)) == want
+        assert called == nearest
 
 
 # -- epsilon pipeline -----------------------------------------------------------------
