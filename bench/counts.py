@@ -80,6 +80,8 @@ COUNTED = (
     "FieldElement.__mul__",
     "FieldElement.__truediv__",
     "FieldElement.scale",
+    "_canonical_fraction",
+    "_pgcd_int",
     "BallTree.__init__",
     "BallTree._step",
 )

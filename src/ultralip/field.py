@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 T_ADIC = "t-adic"
@@ -509,6 +510,16 @@ class FieldElement:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
+        """The canonical sum.
+
+        Over one denominator the numerators add and the sum is reduced.
+        When exactly one operand is a Laurent polynomial P (unit
+        denominator) and the other is a canonical N/D, the sum is
+        (N + P*D)/D as it stands: gcd(N + P*D, D) = gcd(N, D) = 1, so no
+        gcd runs, and the sum is never zero, since N/D with D != 1 is not
+        a Laurent polynomial.  Two different non-unit denominators are
+        cross-multiplied and the result reduced.
+        """
         self._check(other)
         f = self.field
         if not f.is_series:
@@ -516,6 +527,12 @@ class FieldElement:
         if self.den is other.den or self.den == other.den:
             num, den = _canonical_fraction(_padd(self.num, other.num), self.den)
             return FieldElement(f, num, den)
+        if self.den is _ONE_POLY:
+            return FieldElement(f, _padd(_pmul(self.num, other.den), other.num),
+                                other.den)
+        if other.den is _ONE_POLY:
+            return FieldElement(f, _padd(self.num, _pmul(other.num, self.den)),
+                                self.den)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         num, den = _canonical_fraction(num, _pmul(self.den, other.den))
         return FieldElement(f, num, den)
@@ -759,11 +776,34 @@ def integer_average(values: Sequence[FieldElement]) -> FieldElement:
 
 
 def sum_over_count(values: Sequence[FieldElement]) -> FieldElement:
-    """The sum of a nonempty sequence scaled by 1/len, with no warning."""
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return total.scale(Q(1, len(values)))
+    """The sum of a nonempty sequence scaled by 1/len, with no warning.
+
+    When every value has one series denominator D, the numerators are
+    added in one dict (one lookup per term) and the sum over D is reduced
+    once, not once per addition.  Any other mix of denominators is folded
+    with `+`.
+    """
+    first = values[0]
+    den = first.den
+    if den is None or len(values) == 1 or any(
+            v.den is not den and v.den != den for v in values):
+        total = first
+        for v in values[1:]:
+            total = total + v
+        return total.scale(Q(1, len(values)))
+    coefficients: dict[Fraction, list[Fraction]] = {}
+    for v in values:
+        first._check(v)
+        for e, c in v.num:
+            coefficients.setdefault(e, []).append(c)
+    num = []
+    for e, cs in sorted(coefficients.items(), key=itemgetter(0)):
+        if len(cs) == 1:
+            num.append((e, cs[0]))
+        elif s := sum(cs[1:], cs[0]):
+            num.append((e, s))
+    num, den = _canonical_fraction(tuple(num), den)
+    return FieldElement(first.field, num, den).scale(Q(1, len(values)))
 
 
 def warn_count(field: FieldDescriptor, k: int) -> None:

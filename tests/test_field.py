@@ -1,6 +1,8 @@
 """Field arithmetic, norms, leading terms, and averages."""
 
+import functools
 import math
+import operator
 import time
 from fractions import Fraction as Q
 
@@ -18,6 +20,7 @@ from ultralip.field import (
     RVValue,
     _is_prime,
     integer_average,
+    sum_over_count,
 )
 from ultralip.serialize import parse_element
 
@@ -290,17 +293,24 @@ UNIT_DENOMINATORS = {
 
 
 @st.composite
-def series_elements(draw, fd):
-    """A Laurent polynomial in t (t^(1/6) on puiseux), divided by one or
-    two of the field's unit denominators or by none."""
+def laurent_polys(draw, fd, top=12):
+    """A Laurent polynomial in t (t^(1/6) on puiseux) of up to three terms;
+    puiseux exponents are k/d for |k| <= top and d in 1, 2, 3, 6."""
     if fd is T:
         exps = exponents
     else:
-        exps = st.builds(Q, st.integers(min_value=-12, max_value=12),
+        exps = st.builds(Q, st.integers(min_value=-top, max_value=top),
                          st.sampled_from((1, 2, 3, 6)))
-    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=3))
-    x = fd.from_terms(terms)
-    dens = draw(st.lists(st.sampled_from(UNIT_DENOMINATORS[fd]), max_size=2))
+    return fd.from_terms(draw(st.lists(st.tuples(exps, coeffs), max_size=3)))
+
+
+@st.composite
+def series_elements(draw, fd, max_dens=2, top=12):
+    """A Laurent polynomial divided by up to max_dens of the field's unit
+    denominators."""
+    x = draw(laurent_polys(fd, top))
+    dens = draw(st.lists(st.sampled_from(UNIT_DENOMINATORS[fd]),
+                         max_size=max_dens))
     for den in dens:
         x = x / fd.from_terms(den)
     return x
@@ -425,6 +435,275 @@ def test_padic_hash_is_structural(x, y):
     for z in (a, a + b, a * b, parse_element(P3, a.to_text())):
         assert hash(z) == hash((z.field, z.rational))
     assert hash((a + b) - b) == hash(a)
+
+
+# -- sums that need no gcd ----------------------------------------------------
+
+
+def _sum_by_reduction(a, b):
+    """The general sum: cross-multiply, then reduce."""
+    num = field._padd(field._pmul(a.num, b.den), field._pmul(b.num, a.den))
+    num, den = field._canonical_fraction(num, field._pmul(a.den, b.den))
+    return field.FieldElement(a.field, num, den)
+
+
+def _sum_over_count_by_reduction(values):
+    """The average as a pairwise fold of the general sum."""
+    total = values[0]
+    for v in values[1:]:
+        total = _sum_by_reduction(total, v)
+    return total.scale(Q(1, len(values)))
+
+
+@st.composite
+def shared_denominator_values(draw, fd, top=12):
+    """One to four Laurent polynomials over one product D of the field's
+    unit denominators; the last value often makes the sum g*F/D for a
+    factor F of D, so that the sum over D needs its gcd."""
+    factors = [fd.from_terms(d) for d in draw(st.lists(
+        st.sampled_from(UNIT_DENOMINATORS[fd]), min_size=1, max_size=2))]
+    den = fd.one()
+    for f in factors:
+        den = den * f
+    values = [draw(laurent_polys(fd, top)) / den
+              for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    if draw(st.booleans()):
+        rest = fd.zero()
+        for v in values:
+            rest = rest + v
+        values.append(draw(laurent_polys(fd, top)) * factors[0] / den - rest)
+    return values
+
+
+def _assert_same_form(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    if len(got.den) == 1:
+        assert got.den is field._ONE_POLY
+    assert hash(got) == hash(want)
+    assert got.to_text() == want.to_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from((T, PX)))
+def test_gcd_free_sums_match_the_reduced_sum(data, fd):
+    a = data.draw(series_elements(fd))
+    p = data.draw(laurent_polys(fd))
+    values = data.draw(st.one_of(
+        shared_denominator_values(fd),
+        st.lists(series_elements(fd, max_dens=1), min_size=1, max_size=3)))
+    _assert_same_form(a + p, _sum_by_reduction(a, p))
+    _assert_same_form(p + a, _sum_by_reduction(p, a))
+    _assert_same_form(sum_over_count(values),
+                      _sum_over_count_by_reduction(values))
+    if a.den is not field._ONE_POLY:
+        # N/D with D != 1 is no Laurent polynomial, so N/D + P is never 0
+        assert not (a + p).is_zero and (a + p).den is a.den
+
+
+def test_laurent_addends_with_negative_and_half_exponents():
+    root = PX.from_terms([(0, 1), (Q(1, 2), 1)])
+    cases = [(T.one() / (T.one() + t(1)), t(-3, 2) + t(-1)),
+             (t(-2) / (T.one() - t(2)), t(-1, -1) + t(4)),
+             (PX.one() / root, PX.from_terms([(Q(-1, 2), 1), (Q(1, 2), 3)])),
+             (PX.monomial(Q(-1, 2)) / root, PX.monomial(Q(3, 2), -2))]
+    for a, p in cases:
+        for got in (a + p, p + a):
+            _assert_same_form(got, _sum_by_reduction(a, p))
+            assert got.den is a.den
+    one_t = T.one() + t(1)
+    assert T.one() / one_t - T.one() == -t(1) / one_t  # nonzero, no branch
+
+
+def test_a_shared_denominator_sum_is_reduced_once():
+    # 1/(1+t) + t/(1+t) = 1: the one reduction finds the unit denominator
+    for fd, d in ((T, ((0, 1), (1, 1))), (PX, ((0, 1), (Q(1, 2), 1)))):
+        den = fd.from_terms(d)
+        u = fd.from_terms(d[1:])
+        got = sum_over_count([fd.one() / den, u / den])
+        assert got.num == ((Q(0), Q(1, 2)),) and got.den is field._ONE_POLY
+        assert got == fd.from_rational(Q(1, 2))
+        got = sum_over_count([fd.one() / den, u / den, u / den])
+        _assert_same_form(got, _sum_over_count_by_reduction(
+            [fd.one() / den, u / den, u / den]))
+
+
+def test_sums_reject_mixed_backends():
+    tu = T.one() / (T.one() + t(1))
+    pu = PX.one() / PX.from_terms([(0, 1), (1, 1)])
+    for values in ([T.one(), PX.one()], [tu, pu], [tu, tu, pu],
+                   [tu, PX.one()], [T.one(), P3.one()], [P3.one(), tu]):
+        with pytest.raises(BackendMismatchError):
+            sum_over_count(values)
+    for x, y in ((tu, PX.monomial(1)), (PX.monomial(1), tu), (tu, pu)):
+        with pytest.raises(BackendMismatchError):
+            x + y
+
+
+def test_gcd_free_sums_run_at_most_one_gcd(monkeypatch):
+    one_t = T.one() + t(1)
+    root = PX.from_terms([(0, 1), (Q(1, 2), 1)])
+    pairs = [((T.one() + t(2)) / one_t, t(-1) + t(3)),
+             (t(-1) / (T.one() - t(2)), T.from_rational(Q(-5, 2))),
+             (PX.one() / root, PX.from_terms([(Q(-1, 2), 1), (Q(1, 2), 3)]))]
+    values = [t(k, k + 2) / one_t for k in range(-1, 4)]
+    calls = []
+    gcd = field._pgcd_int
+    monkeypatch.setattr(field, "_pgcd_int",
+                        lambda p, q: calls.append(1) or gcd(p, q))
+    for a, p in pairs:
+        a + p
+        p + a
+    assert calls == []
+    sum_over_count(values)
+    assert len(calls) <= 1
+    calls.clear()
+    _sum_over_count_by_reduction(values)  # the fold reduces at every step
+    assert len(calls) == len(values) - 1
+
+
+# -- evaluation oracle ---------------------------------------------------------
+#
+# Substituting t = s^M, where M is the lcm of the exponent denominators,
+# maps Q(t^(1/M)) into Q as a ring homomorphism wherever the denominator
+# does not vanish.  These helpers read an element's terms only and share
+# no code with the field's polynomial helpers.
+
+
+def _lattice(elements):
+    """The lcm M of the exponent denominators, so that u = t^(1/M)."""
+    m = 1
+    for x in elements:
+        for e, _ in x.num + x.den:
+            m = math.lcm(m, e.denominator)
+    return m
+
+
+def _at(terms, s, m):
+    total = Q(0)
+    for e, c in terms:
+        total += c * Q(s) ** int(e * m)
+    return total
+
+
+@functools.lru_cache(maxsize=4096)
+def _value(x, s, m):
+    """x at t = s^M, or None where its denominator vanishes there."""
+    d = _at(x.den, s, m)
+    return None if d == 0 else _at(x.num, s, m) / d
+
+
+def _equal_by_values(x, y, m):
+    """Decide x = y in the field from values alone.
+
+    x - y has the numerator P = x.num*y.den - y.num*x.den, a Laurent
+    polynomial in u whose exponents span at most k, so P = 0 iff it
+    vanishes at k + 1 distinct nonzero points.  At u = 1, 2, ..., where
+    neither denominator vanishes, P(u) = 0 iff x and y agree.
+    """
+    def span(p):
+        return int(p[0][0] * m), int(p[-1][0] * m)
+
+    ends = []
+    for num, den in ((x.num, y.den), (y.num, x.den)):
+        if num:
+            ends += [a + b for a, b in zip(span(num), span(den))]
+    if not ends:
+        return True
+    k = max(ends) - min(ends)
+    agree, s = 0, 0
+    while agree <= k:
+        s += 1
+        vx, vy = _value(x, s, m), _value(y, s, m)
+        if vx is None or vy is None:
+            continue
+        if vx != vy:
+            return False
+        agree += 1
+    return True
+
+
+@st.composite
+def partners(draw, fd, a):
+    """A second operand for a: far from a, a itself, a plus an element, or
+    g*F/D - a for a's denominator D and a unit denominator F, so that the
+    sum g*F/D often needs its gcd."""
+    kind = draw(st.sampled_from(("far", "same", "near", "cancel")))
+    if kind == "same":
+        return a
+    if kind == "near":
+        return a + draw(series_elements(fd, max_dens=1, top=3))
+    if kind == "cancel" and a.den is not field._ONE_POLY:
+        factor = fd.from_terms(draw(st.sampled_from(UNIT_DENOMINATORS[fd])))
+        return draw(laurent_polys(fd, top=3)) * factor / fd.from_terms(a.den) - a
+    return draw(series_elements(fd, max_dens=1, top=3))
+
+
+def _check_against_evaluation(a, b, q, values, points):
+    """The four operations, scale and sum_over_count commute with every
+    substitution t = s^M at the points s where no denominator vanishes,
+    and the canonical forms among them are unique."""
+    ops = [operator.add, operator.sub, operator.mul] + (
+        [operator.truediv] if b else [])
+    results = [op(a, b) for op in ops]
+    scaled, average = a.scale(q), sum_over_count(values)
+    forms = [a, b, scaled, average, *results, *values]
+    m = _lattice(forms)
+    for s in points:
+        va, vb = _value(a, s, m), _value(b, s, m)
+        if va is not None and vb is not None:
+            for op, x in zip(ops, results):
+                if op is not operator.truediv or vb != 0:
+                    assert _value(x, s, m) == op(va, vb)
+            assert _value(scaled, s, m) == va * q
+        vs = [_value(v, s, m) for v in values]
+        if None not in vs:
+            assert _value(average, s, m) == sum(vs) / len(vs)
+    # two forms are equal exactly when their values are, and a result is
+    # its own fresh reduction, read back from its text
+    for i, x in enumerate(forms):
+        for y in forms[i + 1:]:
+            assert (x == y) == _equal_by_values(x, y, m)
+    for x in [scaled, average, *results]:
+        again = parse_element(x.field, x.to_text())
+        assert x == again and _equal_by_values(x, again, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from((T, PX)),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5)
+                .filter(bool), min_size=1, max_size=3))
+def test_arithmetic_commutes_with_evaluation(data, fd, points):
+    a = data.draw(series_elements(fd, max_dens=1, top=3))
+    b = data.draw(partners(fd, a))
+    q = data.draw(coeffs)
+    values = data.draw(st.one_of(
+        shared_denominator_values(fd, top=3),
+        st.lists(series_elements(fd, max_dens=1, top=3), min_size=1,
+                 max_size=3)))
+    _check_against_evaluation(a, b, q, values, points)
+
+
+def test_arithmetic_commutes_with_evaluation_on_fixed_forms():
+    # Laurent operands first, whose operations run no gcd, then a unit
+    # denominator against Laurent addends, two denominators whose sum
+    # cancels a factor, and one denominator whose sum cancels one
+    points = [Q(2), Q(-1, 3), Q(3, 2)]
+    one_t, one_tt = T.one() + t(1), T.one() - t(2)
+    root = PX.from_terms([(0, 1), (Q(1, 2), 1)])
+    half = PX.monomial(Q(1, 2))
+    cases = [
+        (t(-1) + t(1, 2), t(2, -3), Q(3, 2), [t(1), t(-2, 3)]),
+        (T.one() / one_t, t(-3, 2) + t(-1), Q(-1),
+         [T.one() / one_t, t(1) / one_t]),
+        (PX.one() / root, PX.monomial(Q(-1, 2)) + half.scale(3), Q(1, 2),
+         [PX.one() / root, half / root, PX.monomial(Q(-1, 2))]),
+        (T.one() / one_t, T.one() / one_tt, Q(2), [T.one() / one_t,
+                                                  T.one() / one_tt]),
+        (T.one() / one_tt, t(1) / one_tt, Q(5),
+         [T.one() / one_tt, t(1) / one_tt, t(3) / one_tt]),
+    ]
+    for a, b, q, values in cases:
+        _check_against_evaluation(a, b, q, values, points)
 
 
 # -- Euclid on rational exponents --------------------------------------------
