@@ -81,6 +81,7 @@ COUNTED = (
     "FieldElement.__truediv__",
     "FieldElement.scale",
     "_canonical_fraction",
+    "_cross_numerator",
     "_pgcd_int",
     "BallTree.__init__",
     "BallTree._step",

@@ -278,18 +278,21 @@ def glue_union(parts: Sequence[FiniteFunction]) -> ExtendedFunction:
 def _combine(privileged: dict, others: Sequence[dict], ball_of: dict) -> dict:
     """Merge sibling fiber data around a privileged fiber at one scale.
 
-    ball_of labels every key with its open ball at the scale.  Privileged
+    ball_of labels every key with (its index in sort_key order, its open
+    ball at the scale), so each sibling's keys are sorted by index, not by
+    sort_key, and no ordering of elements runs.  Privileged
     entries are kept verbatim; foreign keys in a ball that holds a
     privileged key are dropped, and the rest are averaged by ball, every
     key of a ball receiving the ball average (counted with multiplicity
     across siblings).
     """
     merged = dict(privileged)
-    held = {ball_of[e] for e in privileged}
+    held = {ball_of[e][1] for e in privileged}
     balls: dict[Ball, tuple[list, list]] = {}
     for data in others:
-        for w, val in sorted(data.items(), key=lambda kv: kv[0].sort_key()):
-            ball = ball_of[w]
+        # indices are unique, so the sort never compares keys or values
+        for (_, ball), w, val in sorted([(ball_of[w], w, val)
+                                         for w, val in data.items()]):
             if ball not in held:
                 pts, vals = balls.setdefault(ball, ([], []))
                 pts.append(w)
@@ -371,16 +374,18 @@ class _Ladder:
 
     def _grid_of(self, node: Ball) -> tuple[frozenset, dict]:
         """The open balls of radius theta(node.radius) that hold a fiber key
-        over node, and each such key's ball: the first key-tree node on the
-        key's path whose radius exponent exceeds node.radius."""
+        over node, and each such key's index in self.keys and ball: the
+        first key-tree node on the key's path whose radius exponent exceeds
+        node.radius."""
         got = self._grid.get(id(node))
         if got is None:
             r = node.radius
             ball_of = {}
             for j in {j for i in node.members for j in self._fiber_keys[i]}:
-                ball_of[self.keys[j]] = next(
+                ball_of[self.keys[j]] = j, next(
                     b for b in self._paths[j] if b.radius > r)
-            got = self._grid[id(node)] = frozenset(ball_of.values()), ball_of
+            got = self._grid[id(node)] = (
+                frozenset(b for _, b in ball_of.values()), ball_of)
         return got
 
     def view(self, u, v) -> Callable:

@@ -602,7 +602,9 @@ class FieldElement:
         return RVValue(Q(v), Q(digit), f.prime)
 
     def norm_of_difference(self, other: "FieldElement") -> NormValue:
-        """|self - other|, with a scan that avoids building the difference."""
+        """|self - other|, with a scan that avoids building the difference:
+        the first term where the numerators differ over one denominator,
+        _cross_difference_term's across denominators."""
         self._check(other)
         f = self.field
         if not f.is_series:
@@ -611,9 +613,9 @@ class FieldElement:
                 else NormValue.zero()
         if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
-            return NormValue.zero() if got is None else NormValue(got[0])
-        num = _cross_numerator(self, other)
-        return NormValue(_ord(num)) if num else NormValue.zero()
+        else:
+            got = _cross_difference_term(self, other)
+        return NormValue.zero() if got is None else NormValue(got[0])
 
     def lead_of_difference(self, other: "FieldElement") -> tuple:
         """The leading term of self - other as (exponent, residue).
@@ -625,10 +627,10 @@ class FieldElement:
         theta(e).  Integral values come as ints, which compare and hash
         faster than Fractions.  Same-denominator operands take the
         norm_of_difference term scan.  Operands with different
-        denominators take the first term of the cross-multiplied numerator
-        self.num*other.den - other.num*self.den: the product of canonical
-        denominators has order 0 and constant term 1, so that term leads
-        the difference, and no gcd or canonical form is computed.
+        denominators take _cross_difference_term: the two numerators'
+        leading terms decide it unless they are equal, and only then is
+        the cross-multiplied numerator built.  No gcd or canonical form is
+        computed.
         """
         self._check(other)
         f = self.field
@@ -637,15 +639,12 @@ class FieldElement:
             return _padic_lead(d, f.prime) if d else (math.inf, None)
         if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
-            if got is None:
-                return math.inf, None
-            e, ca, cb = got
-            c = ca - cb
         else:
-            num = _cross_numerator(self, other)
-            if not num:
-                return math.inf, None
-            e, c = num[0]
+            got = _cross_difference_term(self, other)
+        if got is None:
+            return math.inf, None
+        e, ca, cb = got
+        c = ca - cb
         return (e.numerator if e.denominator == 1 else e,
                 c.numerator if c.denominator == 1 else c)
 
@@ -674,9 +673,28 @@ class FieldElement:
 
 def _cross_numerator(a: FieldElement, b: FieldElement) -> Poly:
     """a.num*b.den - b.num*a.den, the unreduced numerator of a - b over
-    a.den*b.den; it leads as a - b does (see lead_of_difference) and is
+    a.den*b.den; it leads as a - b does (see _cross_difference_term) and is
     empty iff a == b."""
     return _padd(_pmul(a.num, b.den), _pneg(_pmul(b.num, a.den)))
+
+
+def _cross_difference_term(a: FieldElement, b: FieldElement):
+    """The first term of a - b for operands with different denominators,
+    as (exponent, ca, cb) with coefficient ca - cb; None if a == b.
+
+    a - b leads as its cross numerator a.num*b.den - b.num*a.den does,
+    since the product of canonical denominators has order 0 and constant
+    term 1.  For the same reason the two products lead with a.num[0] and
+    b.num[0], so unless those two terms are equal they decide the term:
+    a zero operand gives the other's term, a lower order wins, and at one
+    order the coefficients differ.  Only equal leading terms, which
+    cancel, need the cross numerator.
+    """
+    got = _first_diff_term(a.num[:1], b.num[:1])
+    if got is not None:
+        return got
+    num = _cross_numerator(a, b)
+    return (num[0][0], num[0][1], _ZERO) if num else None
 
 
 def _first_diff_term(a: Poly, b: Poly):

@@ -357,6 +357,67 @@ def test_cross_denominator_differences_run_no_gcd(monkeypatch):
     assert calls
 
 
+def _lead_decided_pairs():
+    """One cross-denominator pair per way the two numerators' leading terms
+    decide the difference, on t-adic and puiseux: a zero operand on either
+    side, the lower order on a and on b, and one order with different
+    coefficients."""
+    one_t = T.one() + t(1)
+    one_t2 = T.one() - t(2)
+    root = PX.from_terms([(0, 1), (Q(1, 2), 1)])
+    px_one_t = PX.from_terms([(0, 1), (1, 1)])
+    x, y = t(-1, 2) / one_t, PX.monomial(Q(1, 2), 3) / root
+    return [(T.zero(), x), (x, T.zero()),
+            (t(-2, 3) / one_t, t(1) / one_t2),
+            (t(2) / one_t, t(-1, 5) / one_t2),
+            (t(0, 2) / one_t, t(0, 3) / one_t2),
+            (PX.zero(), y), (y, PX.zero()),
+            (PX.monomial(Q(-1, 2)) / root, PX.one() / px_one_t),
+            (PX.monomial(Q(3, 2), 2) / root,
+             PX.monomial(Q(1, 3), -1) / px_one_t),
+            (PX.monomial(Q(1, 2), 2) / root, PX.monomial(Q(1, 2), Q(-1, 3)))]
+
+
+def _equal_lead_pairs():
+    """Cross-denominator pairs whose leading terms cancel, so the second
+    term of the cross numerator leads: 1/(1+t) - 1/(1-t^2) = -t + ... and
+    1/(1+t^(1/2)) - 1/(1+t) = -t^(1/2) + ..."""
+    return [(T.one() / (T.one() + t(1)), T.one() / (T.one() - t(2))),
+            (PX.one() / PX.from_terms([(0, 1), (Q(1, 2), 1)]),
+             PX.one() / PX.from_terms([(0, 1), (1, 1)]))]
+
+
+def test_cross_denominator_leads_on_fixed_cases():
+    want = [(-1, -2), (-1, 2), (-2, 3), (-1, -5), (0, -1),
+            (Q(1, 2), -3), (Q(1, 2), 3), (Q(-1, 2), 1), (Q(1, 3), 1),
+            (Q(1, 2), Q(7, 3)), (1, -1), (Q(1, 2), -1)]
+    pairs = _lead_decided_pairs() + _equal_lead_pairs()
+    assert all(a.den != b.den for a, b in pairs)
+    for (a, b), w in zip(pairs, want, strict=True):
+        d = a - b
+        lead = a.lead_of_difference(b)
+        assert lead == _canonical_lead(d) == w
+        assert list(map(type, lead)) == list(map(type, _canonical_lead(d)))
+        assert a.norm_of_difference(b) == d.norm() == theta(w[0])
+
+
+def test_only_equal_cross_leads_build_the_cross_numerator(monkeypatch):
+    calls = []
+    cross = field._cross_numerator
+    monkeypatch.setattr(field, "_cross_numerator",
+                        lambda a, b: calls.append(1) or cross(a, b))
+    for a, b in _lead_decided_pairs():
+        a.lead_of_difference(b)
+        a.norm_of_difference(b)
+    assert calls == []
+    for a, b in _equal_lead_pairs():
+        a.lead_of_difference(b)
+        assert len(calls) == 1
+        a.norm_of_difference(b)
+        assert len(calls) == 2
+        calls.clear()
+
+
 # -- scaling a reduced form --------------------------------------------------
 
 
