@@ -47,7 +47,6 @@ from .extension import (
     extend_cell_risometry_line,
     extend_finite_line,
     extend_finite_nd,
-    extend_finite_plane_ladder,
     extend_graph_family_via_reduction,
     glue_union,
     glue_vanishing,

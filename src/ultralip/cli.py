@@ -31,13 +31,10 @@ from .extension import (
     epsilon_pipeline,
     extend_cell_risometry_line,
     extend_finite,
-    extend_finite_nd,
     extend_graph_family_via_reduction,
-    glue_conditions,
     glue_conditions_pointwise,
     glue_union,
     glue_vanishing,
-    origins,
     union_function,
 )
 from .generate import PROFILES, generate, sample_points
@@ -95,11 +92,14 @@ def lipschitz_verdict(F: ExtendedFunction, samples: list[Point],
     return _verdict(name, False, _pair_witness(x, y, fx, fy))
 
 
-def values_verdict(F: ExtendedFunction, pairs, name: str) -> dict:
-    """Whether F(p) == want for every (p, want) in pairs; a failing
+def values_verdict(samples: list[Point], values: list, pairs,
+                   name: str) -> dict:
+    """Whether F(p) == want for every (p, want) in pairs, reading F(p)
+    from values, F at the samples, which hold every p; a failing
     verdict's witness is the first pair where they differ."""
+    at = dict(zip(samples, values))
     for p, want in pairs:
-        got = F(p)
+        got = at[p]
         if got != want:
             return _verdict(name, False, {"x": p.to_text(),
                                           "expected": emit_element(want),
@@ -146,9 +146,10 @@ def _members(cell) -> list:
 # Task runners
 #
 # A construction runner builds F, the (point, expected value) pairs F
-# must take, and samples anchored at those points (plus skeleton points
-# or origins).  It checks the pairs, evaluates F at the samples, then runs
-# its task's route, origin and configuration checks.
+# must take, and samples that start with those points (plus skeleton
+# points or origins).  It evaluates F once at the samples, reads the
+# pairs' check from those values, then runs its task's route, origin and
+# configuration checks.
 
 
 def construct_extension(inst: Instance) -> ExtendedFunction:
@@ -173,17 +174,14 @@ def _run_extend_finite(inst: Instance, rng, window, count, epsilon):
     F = construct_extension(inst)
     samples = sample_points(rng, inst.field, fn.n, list(fn.domain()),
                             window, count)
-    verdicts = [values_verdict(F, fn.entries, "extends-data")]
     values = [F(x) for x in samples]
-    verdicts.append(lipschitz_verdict(F, samples, values=values))
-    if fn.n == 2:
-        verdicts.append(routes_verdict(
-            extend_finite_nd(fn), samples[: max(10, count // 4)], values,
-            "ladder-cross-check"))
+    verdicts = [values_verdict(samples, values, fn.entries, "extends-data"),
+                lipschitz_verdict(F, samples, values=values)]
     if epsilon is not None:
         F = epsilon_pipeline(fn, epsilon)
-        verdicts.append(values_verdict(F, fn.entries, "epsilon-extends-data"))
         values = [F(x) for x in samples]
+        verdicts.append(values_verdict(samples, values, fn.entries,
+                                       "epsilon-extends-data"))
         verdicts.append(lipschitz_verdict(
             F, samples, NormValue.theta(-epsilon),
             "epsilon-lipschitz-on-samples", values))
@@ -199,30 +197,29 @@ def _run_extend_cell(inst: Instance, rng, window, count):
     anchors = [p for p, _ in pairs] + [Point((x,)) for x in
                                        transport.source.points()]
     samples = sample_points(rng, inst.field, 1, anchors, window, count)
-    verdicts = [values_verdict(F, pairs, "extends-members")]
     values = [F(x) for x in samples]
-    verdicts += [routes_verdict(F.extras["split"], samples, values,
-                                "split-route-agrees"),
-                 configuration_verdict(inst.cells, transport),
-                 lipschitz_verdict(F, samples, values=values)]
+    verdicts = [values_verdict(samples, values, pairs, "extends-members"),
+                routes_verdict(F.extras["split"], samples, values,
+                               "split-route-agrees"),
+                configuration_verdict(inst.cells, transport),
+                lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values
 
 
 def _run_extend_graphs(inst: Instance, rng, window, count):
     family = inst.family
     F = construct_extension(inst)
-    olist = F.extras.get("origins")
-    if olist is None:  # a construction that keeps no origins
-        olist, _ = origins(family)
+    olist = F.extras["origins"]
     pairs = [(Point((x1, br.phi(x1))), br.value(x1))
              for cell, branches in zip(family.base_cells, family.branches)
              for x1 in _members(cell) for br in branches]
     anchors = [p for p, _ in pairs] + [o for o, _ in olist]
     samples = sample_points(rng, inst.field, 2, anchors, window, count)
-    verdicts = [values_verdict(F, pairs, "extends-graph-data")]
     values = [F(x) for x in samples]
-    verdicts += [values_verdict(F, olist, "origin-reduction-vanishes"),
-                 lipschitz_verdict(F, samples, values=values)]
+    verdicts = [values_verdict(samples, values, pairs, "extends-graph-data"),
+                values_verdict(samples, values, olist,
+                               "origin-reduction-vanishes"),
+                lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values
 
 
@@ -239,16 +236,14 @@ def _run_glue(inst: Instance, rng, window, count):
         name = "glue-value-table"
     samples = sample_points(rng, inst.field, F.n, [p for p, _ in pairs],
                             window, count)
-    verdicts = [values_verdict(F, pairs, name)]
+    values = [F(x) for x in samples]
+    verdicts = [values_verdict(samples, values, pairs, name)]
     if inst.parts is None:
         a_pts = list(inst.glue_a.domain())
-        conditions = F.extras.get("conditions")
-        if conditions is None:  # a construction that keeps no conditions
-            conditions = partial(glue_conditions, a_set=a_pts, b_set=b_points)
+        conditions = F.extras["conditions"]
         bad = next((x for x in samples if conditions(x)
                     != glue_conditions_pointwise(x, a_pts, b_points)), None)
         verdicts.append(_point_verdict("condition-routes-agree", bad))
-    values = [F(x) for x in samples]
     verdicts.append(lipschitz_verdict(F, samples, values=values))
     return F, verdicts, samples, values
 

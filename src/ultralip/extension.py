@@ -435,37 +435,29 @@ def _fiber_map(f: FiniteFunction, rest) -> tuple[list, list[dict]]:
     return bases, [fiber_map[b] for b in bases]
 
 
-def extend_finite_plane_ladder(f: FiniteFunction) -> ExtendedFunction:
-    """The staged construction for finite plane data.
+def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
+    """The staged construction for finite data in n >= 2 variables (the
+    line average for n = 1).
 
     Builds the increasing ladder of first-coordinate distances, combines
     fibers per ladder class around the fiber nearest the evaluation
-    point, and extends the combined fiber along the second coordinate by
-    nearest-point averaging.
+    point, and extends the combined fiber along the other coordinates by
+    this construction one dimension down, bottoming out at the line's
+    nearest-point average.  Every combined fiber must be 1-Lipschitz: a
+    p-adic average over a count divisible by p can break that, and the
+    refusal then names the fiber.
     """
-    if f.n != 2:
-        raise ExtensionError("the plane ladder needs two variables")
-    require_one_lipschitz(f)
-    bases, fibers = _fiber_map(f, lambda p: p.coords[1])
-    ladder = _Ladder(bases, fibers, _NearestAverage)
-
-    def evaluate(x: Point) -> FieldElement:
-        return ladder.view(x.coords[0], x.coords[1])(x.coords[1])
-
-    return ExtendedFunction(
-        2, f.field, "plane-ladder", evaluate,
-        description={"points": len(f.entries), "bases": len(bases)})
-
-
-def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
-    """Recursive ladder: fibers over the first coordinate are extended by
-    the construction one dimension down, bottoming out at the line."""
     if f.n == 1:
         return extend_finite_line(f)
     require_one_lipschitz(f)
     bases, fibers = _fiber_map(f, lambda p: Point(p.coords[1:]))
 
     def extend_fiber(data: dict) -> Callable:
+        if f.n == 2:  # the line average, guarded by its own tree; a
+            # failing guard goes on below, to the refusal naming the fiber
+            average = _NearestAverage(data)
+            if average.tree.lipschitz_ok(average.values, NORM_ONE.exponent):
+                return average
         entries = tuple(sorted(data.items(), key=lambda kv: kv[0].sort_key()))
         try:
             return extend_finite_nd(FiniteFunction(f.n - 1, entries)).evaluator
@@ -483,16 +475,12 @@ def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
         return ladder.view(x.coords[0], rest)(rest)
 
     return ExtendedFunction(
-        f.n, f.field, "nd-ladder", evaluate,
+        f.n, f.field, "plane-ladder" if f.n == 2 else "nd-ladder", evaluate,
         description={"points": len(f.entries), "bases": len(bases)})
 
 
-def extend_finite(f: FiniteFunction) -> ExtendedFunction:
-    if f.n == 1:
-        return extend_finite_line(f)
-    if f.n == 2:
-        return extend_finite_plane_ladder(f)
-    return extend_finite_nd(f)
+# one construction serves finite data in every dimension
+extend_finite = extend_finite_nd
 
 
 # ---------------------------------------------------------------------------

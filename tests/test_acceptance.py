@@ -24,9 +24,8 @@ from ultralip.lipschitz import FiniteFunction, finite_function_1d, risometry_che
 from ultralip.extension import (
     epsilon_pipeline,
     extend_cell_risometry_line,
+    extend_finite,
     extend_finite_line,
-    extend_finite_nd,
-    extend_finite_plane_ladder,
     glue_conditions,
     glue_conditions_pointwise,
     glue_union,
@@ -46,6 +45,8 @@ from ultralip.skeleton import (
     risometry_image_cell,
     transport_skeleton,
 )
+
+from ladder_reference import ReferenceLadder
 
 T = FieldDescriptor("t-adic")
 PX = FieldDescriptor("puiseux")
@@ -454,7 +455,7 @@ def test_criterion_7_ladder():
         inst = generate_instance(seed, "finite-plane", T,
                                  size=rng.randint(2, 10), window=WINDOW)
         fn = inst.function
-        F = extend_finite_plane_ladder(fn)
+        F = extend_finite(fn)
         for p, v in fn.entries:
             if F(p) != v:
                 failures.append((seed, "extension", p))
@@ -463,17 +464,17 @@ def test_criterion_7_ladder():
         values = [F(x) for x in samples]
         if check_lipschitz_pairs(samples, values) is not None:
             failures.append((seed, "lipschitz"))
-        nd = extend_finite_nd(fn)
+        reference = ReferenceLadder(fn)
         for x, v in zip(samples, values):
-            if nd(x) != v:
-                failures.append((seed, "nd-agreement", x))
+            if reference(x) != v:
+                failures.append((seed, "reference", x))
                 break
     for seed in range(50):
         rng = random.Random(seed * 31 + 6)
         inst = generate_instance(seed, "finite-nd", T,
                                  size=rng.randint(2, 6), window=WINDOW)
         fn = inst.function
-        F = extend_finite_nd(fn)
+        F = extend_finite(fn)
         for p, v in fn.entries:
             if F(p) != v:
                 failures.append((seed, "extension-3d", p))

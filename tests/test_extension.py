@@ -35,9 +35,9 @@ from ultralip.extension import (
     GraphFamily,
     epsilon_pipeline,
     extend_cell_risometry_line,
+    extend_finite,
     extend_finite_line,
     extend_finite_nd,
-    extend_finite_plane_ladder,
     extend_graph_family,
     extend_graph_family_via_reduction,
     glue_conditions,
@@ -50,6 +50,8 @@ from ultralip.extension import (
     _NearestAverage,
 )
 from ultralip.serialize import parse_instance
+
+from ladder_reference import FiberRefused, ReferenceLadder
 
 T = FieldDescriptor("t-adic")
 PX = FieldDescriptor("puiseux")
@@ -341,7 +343,7 @@ def test_glue_union_rejects_conflicts():
 
 def test_plane_ladder_example():
     f = ff(2, [((T.zero(), T.zero()), T.zero()), ((t(1), T.one()), T.one())])
-    F = extend_finite_plane_ladder(f)
+    F = extend_finite(f)
     assert F(pt(t(3), t(1))) == T.zero()
     # extension property
     assert F(pt(T.zero(), T.zero())) == T.zero()
@@ -350,14 +352,14 @@ def test_plane_ladder_example():
 
 def test_plane_ladder_singleton_is_constant():
     f = ff(2, [((t(1), T.one()), t(2))])
-    F = extend_finite_plane_ladder(f)
+    F = extend_finite(f)
     for x in (pt(T.zero(), T.zero()), pt(t(-2), t(5)), pt(T.one(), t(1))):
         assert F(x) == t(2)
 
 
 def test_plane_ladder_single_base_reduces_to_line():
     f = ff(2, [((t(1), T.zero()), T.zero()), ((t(1), t(1)), t(1))])
-    F = extend_finite_plane_ladder(f)
+    F = extend_finite(f)
     line = extend_finite_line(ff1([(T.zero(), T.zero()), (t(1), t(1))]))
     for u in (t(1), T.zero(), T.one()):
         for v in (t(2), T.one(), t(1) + t(3)):
@@ -368,7 +370,7 @@ def test_plane_ladder_is_lipschitz_on_samples():
     f = ff(2, [((T.zero(), T.zero()), T.zero()),
                ((t(1), T.one()), T.one()),
                ((T.one(), t(1)), T.one() + t(1))])
-    F = extend_finite_plane_ladder(f)
+    F = extend_finite(f)
     elems = [T.zero(), t(1), T.one(), t(2), t(1) + t(2), T.from_int(2), t(-1)]
     probes = [pt(a, b) for a in elems for b in elems[:4]]
     values = [F(x) for x in probes]
@@ -378,18 +380,56 @@ def test_plane_ladder_is_lipschitz_on_samples():
                 <= probes[i].norm_of_difference(probes[j])
 
 
-def test_nd_matches_plane_ladder():
+def test_plane_ladder_matches_the_reference():
     f = ff(2, [((T.zero(), T.zero()), T.zero()),
                ((t(1), T.one()), T.one()),
                ((T.one(), t(1)), T.one() + t(1))])
-    plane = extend_finite_plane_ladder(f)
-    nd = extend_finite_nd(f)
+    F = extend_finite(f)
+    assert F.provenance == "plane-ladder"
+    reference = ReferenceLadder(f)
     elems = [T.zero(), t(1), T.one(), t(2), t(1) + t(2), T.from_int(2), t(-1),
              t(3), T.one() + t(1)]
     for a in elems:
         for b in elems:
             x = pt(a, b)
-            assert plane(x) == nd(x)
+            assert F(x) == reference(x)
+
+
+@st.composite
+def _reference_cases(draw):
+    """Generated plane or 3-D data and samples around it.  A narrow
+    window makes points share leading terms, so ladders branch at equal
+    radii and fibers overlap."""
+    field = draw(st.sampled_from([T, PX, P3]))
+    profile, most = draw(st.sampled_from([("finite-plane", 12),
+                                          ("finite-nd", 6)]))
+    window = draw(st.sampled_from([(-6, 6), (-1, 2), (0, 1)]))
+    seed = draw(st.integers(0, 10 ** 6))
+    inst = generate_instance(seed, profile, field, draw(st.integers(2, most)),
+                             window)
+    fn = inst.function
+    samples = sample_points(random.Random(seed), field, fn.n,
+                            list(fn.domain()), window, 30)
+    return fn, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reference_cases())
+def test_ladder_matches_the_reference(case):
+    # the reference computes every ball and nearest set from pairwise
+    # distances; where it refuses a combined fiber, F must refuse it too
+    fn, samples = case
+    F, reference = extend_finite(fn), ReferenceLadder(fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        for x in samples:
+            try:
+                want = reference(x)
+            except FiberRefused:
+                with pytest.raises(NotLipschitzError, match="combined fiber"):
+                    F(x)
+                continue
+            assert F(x) == want, x.to_text()
 
 
 def _pairwise_combine(privileged, others, delta):
