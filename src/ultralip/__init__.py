@@ -17,7 +17,6 @@ from .geometry import (
     Cell1D,
     ExactBox,
     cells_intersect,
-    dist_to_set,
     rho,
 )
 from .lipschitz import (

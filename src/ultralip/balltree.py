@@ -119,10 +119,6 @@ class BallTree:
                 return node, d
             node = child
 
-    def nearest(self, x) -> tuple[int, ...]:
-        """Indices of the keys nearest to x."""
-        return self.locate(x)[0].members if self.root else ()
-
     def lipschitz_ok(self, values: Sequence[FieldElement], eps) -> bool:
         """Whether |values[i] - values[j]| <= theta(eps) * |keys[i] - keys[j]|
         for all i, j; eps is a raw exponent."""

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from .field import (
     NORM_ONE,
-    CutValue,
     FieldDescriptor,
     FieldElement,
     NormValue,
@@ -25,7 +24,7 @@ from .field import (
     sum_over_count,
     warn_count,
 )
-from .geometry import Cell1D, cell_member, dist_to_set, first_intersecting_pair
+from .geometry import Cell1D, cell_member, first_intersecting_pair
 from .balltree import Ball, BallTree
 from .lipschitz import (
     FiniteFunction,
@@ -122,43 +121,12 @@ def extend_finite_line(f: FiniteFunction) -> ExtendedFunction:
 # Gluing with a vanishing part
 
 
-def _dist_or_none(x: Point, targets) -> CutValue | None:
-    targets = list(targets)
-    if not targets:
-        return None
-    if isinstance(targets[0], Cell1D):
-        if x.dimension != 1:
-            raise ExtensionError("cell targets are one-dimensional")
-        x = x.coords[0]
-    return dist_to_set(x, targets)
-
-
-def _all_strictly_above(cut_a: CutValue, cut_b: CutValue) -> bool:
-    """Whether every distance behind cut_b strictly exceeds the cut_a infimum."""
-    if cut_b.attained:
-        return cut_a < cut_b
-    return cut_a <= cut_b
-
-
-def glue_conditions(x: Point, a_set, b_set) -> tuple[bool, bool]:
-    """The two symmetric nearness conditions, decided through distance cuts.
-
-    cond1 holds when every point of B has a point of A strictly nearer to
-    x, cond2 when every point of A has a point of B strictly nearer, so
-    cond1 holds for an empty B and cond2 for an empty A.  glue_vanishing
-    takes this route for cell targets, alone or mixed with points.
-    """
-    da = _dist_or_none(x, a_set)
-    db = _dist_or_none(x, b_set)
-    cond1 = True if db is None else (da is not None and _all_strictly_above(da, db))
-    cond2 = True if da is None else (db is not None and _all_strictly_above(db, da))
-    return cond1, cond2
-
-
 def glue_conditions_pointwise(x: Point, a_points, b_points) -> tuple[bool, bool]:
-    """Quantifier evaluation over finite sets, the reference for the cut
-    and tree routes.  Each distance to x is computed once, so the cost is
-    |A| + |B| differences and |A|·|B| norm comparisons."""
+    """The glue conditions by quantifier evaluation, the reference for the
+    tree route: cond1 holds when every point of B has a point of A strictly
+    nearer to x, cond2 when every point of A has a point of B strictly
+    nearer.  Each distance to x is computed once, so the cost is |A| + |B|
+    differences and |A|·|B| norm comparisons."""
     da = [x.norm_of_difference(a) for a in a_points]
     db = [x.norm_of_difference(b) for b in b_points]
     cond1 = all(any(d < bound for d in da) for bound in db)
@@ -174,7 +142,7 @@ def _tree_conditions(a_points: Sequence[Point], b_points: Sequence[Point]):
     that node holds no point of B, and cond2 iff it holds no point of A;
     a shared point or a tie gives (False, False).  A node's members are
     indices in input order, A's first, so its first and last member
-    decide.  With A + B empty both conditions hold, as on the cut route.
+    decide.  With A + B empty both conditions hold, as they do pointwise.
     """
     split = len(a_points)
     tree = BallTree([*a_points, *b_points])
@@ -188,34 +156,26 @@ def _tree_conditions(a_points: Sequence[Point], b_points: Sequence[Point]):
     return conditions
 
 
-def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
+def glue_vanishing(a_data: FiniteFunction, b_points: Sequence[Point],
+                   extension_of_a: ExtendedFunction,
                    check: bool = True) -> ExtendedFunction:
     """Glue an extension of f|A with the zero function across B.
 
-    a_data is a FiniteFunction (or a list of cells); b_set is a finite
-    point list or cell list on which the glued function vanishes.  The
-    result follows the condition table: the extension value where A is
-    strictly nearer, zero where B is at least tied.  When both sides are
-    finite point sets, the conditions are read off one ball tree of A + B
-    built here, one walk per evaluation; cell targets take the cut route
-    of glue_conditions.  The condition function is the 'conditions' extra.
+    a_data is f on the finite set A; b_points is the finite set B on which
+    the glued function vanishes.  The result follows the condition table:
+    the extension value where A is strictly nearer, zero where B is at
+    least tied.  The conditions are read off one ball tree of A + B built
+    here, one walk per evaluation; the condition function is the
+    'conditions' extra.
     """
     F = extension_of_a
-    if isinstance(a_data, FiniteFunction):
-        a_targets: Sequence = a_data.domain()
-        if check:
-            for p, v in a_data.entries:
-                if F(p) != v:
-                    raise ExtensionError(
-                        f"the given extension disagrees with f at {p}")
-    else:
-        a_targets = list(a_data)
-    b_targets = list(b_set)
-    if all(isinstance(p, Point) for p in (*a_targets, *b_targets)):
-        conditions = _tree_conditions(a_targets, b_targets)
-    else:
-        def conditions(x: Point) -> tuple[bool, bool]:
-            return glue_conditions(x, a_targets, b_targets)
+    a_points = a_data.domain()
+    if check:
+        for p, v in a_data.entries:
+            if F(p) != v:
+                raise ExtensionError(
+                    f"the given extension disagrees with f at {p}")
+    conditions = _tree_conditions(a_points, b_points)
 
     def evaluate(x: Point) -> FieldElement:
         cond1, cond2 = conditions(x)
@@ -225,7 +185,7 @@ def glue_vanishing(a_data, b_set, extension_of_a: ExtendedFunction,
 
     return ExtendedFunction(
         F.n, F.backend, "glue-vanishing", evaluate,
-        description={"a_size": len(a_targets), "b_size": len(b_targets)},
+        description={"a_size": len(a_points), "b_size": len(b_points)},
         extras={"conditions": conditions})
 
 
@@ -659,27 +619,6 @@ def _fiberwise(family: GraphFamily, value_fn) -> ExtendedFunction:
                             description={"cells": len(family.base_cells)})
 
 
-def extend_graph_family(family: GraphFamily) -> ExtendedFunction:
-    """The fiberwise nearest-average extension of a vanishing graph family.
-
-    Requires the origin values to vanish; use the reduction pipeline for
-    families that do not vanish at their origins.
-    """
-    return _extend_vanishing(family, *origins(family))
-
-
-def _extend_vanishing(family: GraphFamily, olist, skel) -> ExtendedFunction:
-    """extend_graph_family on the origins and skeleton origins() gave."""
-    for origin, e in olist:
-        if not e.is_zero:
-            raise ExtensionError(
-                f"value does not vanish at origin {origin}: {e!r}")
-    _check_graph_estimates(family, skel)
-    F = _fiberwise(family, lambda ci, bi, x1: family.branches[ci][bi].value(x1))
-    F.extras["origins"] = olist
-    return F
-
-
 def _check_graph_estimates(family: GraphFamily, skel):
     """Sampled exact check of the vanishing bound |f(x)| <= |x1 - center|."""
     for (cell, point), moved, brs in zip(skel.attachments, skel.recentered,
@@ -695,11 +634,17 @@ def _check_graph_estimates(family: GraphFamily, skel):
 
 def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
     """Subtract a finite extension of the origin values, extend fiberwise,
-    and add it back; the reduced family vanishes at the origins.  The
-    origins and their values are kept as the 'origins' extra."""
+    and add it back; the reduced family vanishes at the origins.  A family
+    that already vanishes there is extended fiberwise as it is, after the
+    graph estimate check.  The origins and their values are kept as the
+    'origins' extra."""
     olist, skel = origins(family)
     if all(e.is_zero for _, e in olist):
-        return _extend_vanishing(family, olist, skel)
+        _check_graph_estimates(family, skel)
+        F = _fiberwise(family,
+                       lambda ci, bi, x1: family.branches[ci][bi].value(x1))
+        F.extras["origins"] = olist
+        return F
     origin_fun = FiniteFunction(2, tuple((o, e) for o, e in olist))
     g = extend_finite_nd(origin_fun)
     for o, e in olist:

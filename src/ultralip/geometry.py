@@ -285,28 +285,6 @@ def dist_to_cell(x: FieldElement, cell: Cell1D) -> CutValue:
     return min(_dist_to_box(w, b, cell.field) for b in cell.boxes)
 
 
-def dist_to_points(x, points) -> CutValue:
-    """Attained minimum distance to a finite nonempty point set."""
-    best = None
-    for p in points:
-        d = x.norm_of_difference(p)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        raise GeometryError("distance to an empty set")
-    return CutValue(best, True)
-
-
-def dist_to_set(x, targets) -> CutValue:
-    """Infimum cut of |x - y| over a union of cells or a finite point set."""
-    targets = list(targets)
-    if not targets:
-        raise GeometryError("distance to an empty union")
-    if isinstance(targets[0], Cell1D):
-        return min(dist_to_cell(x, c) for c in targets)
-    return dist_to_points(x, targets)
-
-
 # ---------------------------------------------------------------------------
 # Cell intersection (exactly decidable)
 

@@ -26,7 +26,6 @@ from ultralip.extension import (
     extend_cell_risometry_line,
     extend_finite,
     extend_finite_line,
-    glue_conditions,
     glue_conditions_pointwise,
     glue_union,
     glue_vanishing,
@@ -206,9 +205,9 @@ def test_criterion_2_glue_vanishing():
         if check_lipschitz_pairs(samples, values) is not None:
             failures.append((seed, "lipschitz"))
         for x in samples[:20]:
-            if glue_conditions(x, list(a.domain()), b_points) != \
+            if G.extras["conditions"](x) != \
                     glue_conditions_pointwise(x, list(a.domain()), b_points):
-                failures.append((seed, "condition-routes", x))
+                failures.append((seed, "conditions", x))
     ok = not failures
     _report(2, "partition gluing (300 instances)", ok)
     assert not failures, failures[:3]

@@ -38,9 +38,7 @@ from ultralip.extension import (
     extend_finite,
     extend_finite_line,
     extend_finite_nd,
-    extend_graph_family,
     extend_graph_family_via_reduction,
-    glue_conditions,
     glue_conditions_pointwise,
     glue_union,
     glue_vanishing,
@@ -144,7 +142,7 @@ def test_cached_ball_average_matches_the_plain_average(data, backend):
         got = [average(x) for x in queries for _ in range(2)]
     with warnings.catch_warnings(record=True) as plain:
         warnings.simplefilter("always", PDivisibleCountWarning)
-        want = [integer_average([values[i] for i in tree.nearest(x)])
+        want = [integer_average([values[i] for i in tree.locate(x)[0].members])
                 for x in queries for _ in range(2)]
     assert [v.to_text() for v in got] == [v.to_text() for v in want]
     assert _p_divisible_warnings(cached) == _p_divisible_warnings(plain)
@@ -242,25 +240,12 @@ def test_glue_empty_cases():
     G = glue_vanishing(a, [], F)
     for x in (t(3), T.one(), t(2)):
         assert G(pt(x)) == F(pt(x))
-    H = glue_vanishing([], [pt(t(1))], F)
+    H = glue_vanishing(FiniteFunction(1, ()), [pt(t(1))], F)
     for x in (t(3), T.one(), t(2)):
         assert H(pt(x)).is_zero
 
 
-def test_glue_condition_routes_agree():
-    a_pts = [pt(T.zero()), pt(t(1))]
-    b_pts = [pt(T.one()), pt(t(2))]
-    probes = [pt(x) for x in (T.zero(), t(1), T.one(), t(2), t(3), t(-1),
-                              T.from_int(2), t(1) + t(2))]
-    for x in probes:
-        assert glue_conditions(x, a_pts, b_pts) \
-            == glue_conditions_pointwise(x, a_pts, b_pts)
-
-
 def test_glue_over_point_sets_reads_one_tree(monkeypatch):
-    def cut_route(*args):
-        raise AssertionError("point sets take the tree route")
-
     builds = 0
     init = BallTree.__init__
 
@@ -272,7 +257,6 @@ def test_glue_over_point_sets_reads_one_tree(monkeypatch):
     a = ff1([(T.zero(), t(1)), (t(1), t(1) + t(2))])
     b_pts = [pt(T.one()), pt(T.from_int(2))]
     F = extend_finite_line(a)
-    monkeypatch.setattr(extension, "glue_conditions", cut_route)
     monkeypatch.setattr(BallTree, "__init__", counted)
     G = glue_vanishing(a, b_pts, F)
     assert builds == 1
@@ -738,7 +722,7 @@ def test_graph_family_example():
     assert len(olist) == 1
     origin, e = olist[0]
     assert origin == pt(T.zero(), T.zero()) and e.is_zero
-    F = extend_graph_family(fam)
+    F = extend_graph_family_via_reduction(fam)
     u = T.one() + t(2)
     for x2 in (t(5), T.zero(), T.one()):
         assert F(pt(u, x2)) == t(1) * u
@@ -751,7 +735,7 @@ def test_graph_family_zero_values():
     fam = GraphFamily((base,), ((br,),))
     olist, _ = origins(fam)
     assert olist[0][0] == pt(T.zero(), T.zero())
-    F = extend_graph_family(fam)
+    F = extend_graph_family_via_reduction(fam)
     for x in (pt(T.one(), T.one()), pt(t(2), t(3)), pt(T.one(), t(1))):
         assert F(x).is_zero
 
@@ -763,7 +747,7 @@ def test_graph_family_two_branches_average():
     fam = GraphFamily((base,), ((b1, b2),))
     olist, _ = origins(fam)
     assert len(olist) == 2  # distinct branch values at the skeleton point
-    F = extend_graph_family(fam)
+    F = extend_graph_family_via_reduction(fam)
     u = T.one()
     # equidistant from both graph points: fiber average of equal values
     assert F(pt(u, T.zero())).is_zero
@@ -774,8 +758,6 @@ def test_graph_family_reduction_pipeline():
     # value 1 + t*u does not vanish at the origin (0, 0): e = 1
     br = GraphBranch(T.zero(), T.zero(), t(1), T.one())
     fam = GraphFamily((base,), ((br,),))
-    with pytest.raises(ExtensionError):
-        extend_graph_family(fam)
     F = extend_graph_family_via_reduction(fam)
     for u in (T.one(), T.one() + t(1), T.from_int(2)):
         for x2 in (T.zero(), t(2)):
@@ -903,19 +885,6 @@ def test_epsilon_pipeline_rejects_unrealizable_exponent():
     f = ff1([(T.zero(), T.zero()), (t(1), t(1))])
     with pytest.raises(ValueError):
         epsilon_pipeline(f, Q(1, 2))  # no t^(1/2) in the discrete group
-
-
-def test_glue_vanishing_over_cell_union():
-    # the extension of risometric cell data glued against a far zero set
-    cells = _disjoint_ball_cells()
-    slope = T.one() + t(2)
-    F = extend_cell_risometry_line(cells, [(slope, T.zero())] * 2)
-    b_points = [pt(t(-3))]
-    G = glue_vanishing(list(cells), b_points, F)
-    member = t(1) + t(2)
-    assert G(pt(member)) == slope * member   # A strictly nearer
-    assert G(pt(t(-3))).is_zero              # on B
-    assert G(pt(t(-3) + t(5))).is_zero       # B strictly nearer
 
 
 def test_origins_at_merged_skeleton_point():

@@ -24,7 +24,7 @@ from ultralip.geometry import (
     boxes_disjoint,
     cell_member,
     cells_intersect,
-    dist_to_set,
+    dist_to_cell,
     realizable_exponent_between,
     recenter_cell,
     rho,
@@ -103,28 +103,22 @@ def test_contains_consistent_with_rho():
 # -- distance cuts ---------------------------------------------------------------
 
 
-def test_dist_to_point_set():
-    # t^3 is strictly nearer to 0 than to t^2 in the distance order
-    assert dist_to_set(t(3), [T.zero(), t(2)]) == cut(3)
-
-
 def test_dist_from_center_equals_rho():
     cell = Cell1D(t(1), (sphere_box(1),))
     # distances from the center read off the same cut as rho
-    assert dist_to_set(cell.center, [cell]) == rho(cell)
+    assert dist_to_cell(cell.center, cell) == rho(cell)
 
 
 def test_dist_inside_is_zero():
     cell = Cell1D(T.zero(), (sphere_box(0),))
-    assert dist_to_set(T.one(), [cell]) == cut(None, True)
-    assert dist_to_set(t(2), [t(2), T.one()]) == cut(None, True)
+    assert dist_to_cell(T.one(), cell) == cut(None, True)
 
 
 def test_dist_above_and_unit_mismatch():
     cell = Cell1D(T.zero(), (ExactBox(t(1).rv()),))
-    assert dist_to_set(T.one(), [cell]) == cut(0)  # above the fiber norm
-    assert dist_to_set(t(1, 2), [cell]) == cut(1)  # same norm, other unit
-    assert dist_to_set(t(1) + t(2), [cell]) == cut(None, True)  # inside
+    assert dist_to_cell(T.one(), cell) == cut(0)  # above the fiber norm
+    assert dist_to_cell(t(1, 2), cell) == cut(1)  # same norm, other unit
+    assert dist_to_cell(t(1) + t(2), cell) == cut(None, True)  # inside
 
 
 # -- translation / recentering ------------------------------------------------------

@@ -26,6 +26,11 @@ The `union` cases split the 8-point `finite-line` instance into three
 parts (`entries[i::3]`) and store the `glue` instance of those parts, its
 report and `.verify.json`, so the union gluing is pinned.
 
+The `graphs-14` case is the one `graphs` seed whose origin values all
+vanish, so its construction takes the vanishing route (provenance
+`graph-fiberwise`) and runs the graph estimate check; it stores the
+instance, the report and `.verify.json`.
+
 To rewrite the corpus after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -68,6 +73,7 @@ def _cases():
             if BACKENDS[backend].is_series:
                 for profile in UNIT_PROFILES:
                     yield backend, f"unit-{profile}-{seed}"
+        yield backend, "graphs-14"
 
 
 def _text(payload: dict) -> str:
