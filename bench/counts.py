@@ -8,7 +8,8 @@ directory.  Each entry runs its construction command and then `verify`
 on the report, through `ultralip.cli.main`, in a fresh process started
 with PYTHONHASHSEED=0, so that no set order and no cache left by an
 earlier entry can move a count.  Generated entries are t-adic at seed 1;
-the others are instances of the golden corpus.
+the others are instances of the golden corpus.  The `generate-*` entries
+count the `generate --seed 1` command alone.
 
 Per entry the record holds:
 
@@ -49,7 +50,8 @@ SRC = HERE.parent / "src"
 GOLDEN = HERE.parent / "tests" / "golden"
 TOLERANCE = 0.02
 
-# name -> (profile, size) for `generate --seed 1`, or a golden instance
+# name -> (profile, size) for `generate --seed 1`, or a golden instance,
+# whose chain is counted; or ["generate", flags...] counted alone
 ENTRIES = {
     "line-50": ("finite-line", 50),
     "line-200": ("finite-line", 200),
@@ -66,6 +68,14 @@ ENTRIES = {
     "glue-vanishing-p-adic-3": "p-adic-3/vanishing-1.json",
     "unit-finite-plane": "t-adic/unit-finite-plane-0.json",
     "unit-finite-line": "puiseux/unit-finite-line-1.json",
+    "generate-line-800": ["generate", "--profile", "finite-line", "--size", "800"],
+    "generate-line-2000": ["generate", "--profile", "finite-line",
+                           "--size", "2000"],
+    "generate-plane-240": ["generate", "--profile", "finite-plane",
+                           "--size", "240"],
+    "generate-p-adic-3-line-100": ["generate", "--profile", "finite-line",
+                                   "--size", "100", "--field", "p-adic",
+                                   "--prime", "3"],
 }
 
 # qualified names of the functions counted one by one, in the package or
@@ -105,6 +115,15 @@ def _instance(name: str, tmp: str) -> str:
     return path
 
 
+def _generate(argv: list, tmp: str) -> None:
+    """The generate command alone, at seed 1."""
+    from ultralip.cli import main
+
+    out = os.path.join(tmp, "instance.json")
+    if main(argv + ["--seed", "1", "-o", out]) != 0:
+        raise SystemExit(f"{' '.join(argv)} failed")
+
+
 def _chain(inst: str, tmp: str) -> None:
     """The construction command on inst, then verify on its report; both
     must pass, since a command that stops early makes fewer calls."""
@@ -139,14 +158,17 @@ def measure(name: str, repeats: int) -> dict:
     then CPU times of `repeats` more."""
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
-        inst = _instance(name, tmp)
+        if isinstance(ENTRIES[name], list):
+            work, arg = _generate, ENTRIES[name]
+        else:
+            work, arg = _chain, _instance(name, tmp)
         profile = cProfile.Profile()
-        profile.runcall(_chain, inst, tmp)
+        profile.runcall(work, arg, tmp)
         out = {"counts": _counts(profile)}
         times = []
         for _ in range(repeats):
             start = time.process_time()
-            _chain(inst, tmp)
+            work(arg, tmp)
             times.append(time.process_time() - start)
     if times:
         out["cpu_s"] = {"median": round(statistics.median(times), 4),

@@ -26,7 +26,6 @@ from .lipschitz import (
     is_lipschitz,
     reduce_to_risometry,
     risometry_check,
-    terms_lipschitz_ok,
 )
 from .skeleton import (
     Configuration,

@@ -335,7 +335,8 @@ def _normalize_terms(field: FieldDescriptor, terms) -> Poly:
         c = _as_fraction(c)
         if c == 0:
             continue
-        acc[e] = acc.get(e, Q(0)) + c
+        s = acc.get(e)
+        acc[e] = c if s is None else s + c
     return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
 
@@ -345,9 +346,11 @@ def _normalize_terms(field: FieldDescriptor, terms) -> Poly:
 def _padd(a: Poly, b: Poly) -> Poly:
     acc = dict(a)
     for e, c in b:
-        s = acc.get(e, Q(0)) + c
-        if s == 0:
-            acc.pop(e, None)
+        s = acc.get(e)
+        if s is None:  # terms are nonzero, so c is stored as it is
+            acc[e] = c
+        elif (s := s + c) == 0:
+            del acc[e]
         else:
             acc[e] = s
     return tuple(sorted(acc.items()))
@@ -364,9 +367,11 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     for e1, c1 in a:
         for e2, c2 in b:
             e = e1 + e2
-            s = acc.get(e, Q(0)) + c1 * c2
-            if s == 0:
-                acc.pop(e, None)
+            s = acc.get(e)
+            if s is None:
+                acc[e] = c1 * c2
+            elif (s := s + c1 * c2) == 0:
+                del acc[e]
             else:
                 acc[e] = s
     return tuple(sorted(acc.items()))
@@ -401,7 +406,7 @@ def _pdivmod_int(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         da, la = rem[-1]
         k = da - db
         c = la / lb
-        quo[k] = quo.get(k, Q(0)) + c
+        quo[k] = c  # the leading exponent falls each step, so k is new
         rem = _padd(rem, _pneg(_pmul(((k, c),), b)))
     return tuple(sorted(quo.items())), rem
 

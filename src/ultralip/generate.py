@@ -3,13 +3,10 @@
 Values on finite domains are assigned down the ultrametric ball tree of
 the points: one value per ball, perturbed in each child ball by an
 element bounded by the ball's diameter.  That makes the data 1-Lipschitz
-by construction, but every emitted instance is still checked exactly by
-a checker that shares no code with the ball tree, and regenerated under
-a chained sub-seed if the check fails.  Series data whose coordinates and
-values are Laurent polynomials (all that this module draws) is decided
-on term prefixes in O(n * depth) by terms_lipschitz_ok; any other data,
-p-adic data included, by the pair scan is_lipschitz.  All randomness
-flows from the seed.
+by construction, and every emitted instance is still checked exactly by
+require_one_lipschitz, the guard each construction runs on its input, in
+O(n * depth) on the ball tree; an instance that fails is regenerated
+under a chained sub-seed.  All randomness flows from the seed.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import random
 
 from .balltree import BallTree
 from .field import (
-    NORM_ONE,
     CutValue,
     FieldDescriptor,
     FieldElement,
@@ -27,7 +23,7 @@ from .field import (
     Q,
 )
 from .geometry import AnnulusBox, Cell1D, ExactBox, first_intersecting_pair
-from .lipschitz import FiniteFunction, is_lipschitz, terms_lipschitz_ok
+from .lipschitz import FiniteFunction, require_one_lipschitz
 from .extension import GraphBranch, GraphFamily
 from .serialize import Instance, emit_instance
 
@@ -80,22 +76,12 @@ def _distinct_points(rng, field, n, count, window) -> list[Point]:
     return pts
 
 
-def _certify_one_lipschitz(fn: FiniteFunction) -> None:
-    """Raise RuntimeError unless fn is 1-Lipschitz: the term-prefix
-    decider answers where it can, the pair scan everywhere else."""
-    ok = terms_lipschitz_ok(fn, NORM_ONE)
-    if ok is None:
-        ok = is_lipschitz(fn, NORM_ONE).ok
-    if not ok:
-        raise RuntimeError("generator soundness failure")
-
-
 def _finite_instance(rng, field, n, size, window) -> Instance:
     points = _distinct_points(rng, field, n, size, window)
     values = vanishing_values(rng, points, [], window)
     entries = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
     fn = FiniteFunction(n, entries)
-    _certify_one_lipschitz(fn)
+    require_one_lipschitz(fn, "generated data")
     return Instance("extend-finite", field, function=fn)
 
 
@@ -292,7 +278,7 @@ def generate_vanishing_pair(seed: int, field: FieldDescriptor | None = None,
             fn = FiniteFunction(n, entries)
             union = FiniteFunction(n, tuple(sorted(
                 values.items(), key=lambda kv: kv[0].sort_key())))
-            _certify_one_lipschitz(union)
+            require_one_lipschitz(union, "generated data")
             return Instance("glue", field, glue_a=fn, glue_b=tuple(b_points))
         except (RuntimeError, ValueError):
             continue

@@ -121,66 +121,6 @@ def is_lipschitz(f: FiniteFunction, eps: NormValue) -> LipschitzReport:
     return LipschitzReport(best, witness, tuple(violations))
 
 
-def _term_sequence(p: Point) -> list:
-    """The terms of p in ascending exponent order, as (exponent,
-    coefficient tuple) with one coefficient per coordinate, 0 for a
-    coordinate with no term there."""
-    rows: dict = {}
-    for i, c in enumerate(p.coords):
-        for e, k in c.num:
-            rows.setdefault(e, [0] * p.dimension)[i] = k
-    return [(e, tuple(rows[e])) for e in sorted(rows)]
-
-
-def terms_lipschitz_ok(f: FiniteFunction, eps: NormValue) -> bool | None:
-    """Whether f is eps-Lipschitz, decided on term prefixes of its keys.
-
-    Answers only when every key coordinate and value is a Laurent
-    polynomial (a series element with denominator 1), and returns None
-    otherwise.  Keys that agree on every term below exponent e and differ
-    at e lie at distance exactly theta(e).  So a group of keys sharing a
-    prefix splits at the lowest exponent e where their coefficient tuples
-    differ, and keys in different sub-groups are theta(e) apart.  By the
-    ultrametric inequality, f is eps-Lipschitz iff in every group each
-    value lies within eps * theta(e) of the group's first value, and
-    every sub-group passes the same test.  Each key is compared once per
-    split above it: O(n * depth).  The ball tree is not used, so this
-    decider can check it.
-    """
-    if eps.is_zero:
-        raise ValueError("the Lipschitz bound must be a positive norm")
-    if not f.field.is_series or any(
-            x.den != ((0, 1),) for p, v in f.entries for x in (*p.coords, v)):
-        return None
-    seqs = [_term_sequence(p) for p, _ in f.entries]
-    values = [v for _, v in f.entries]
-    # each group of keys shares its first pos terms
-    stack = [(list(range(len(seqs))), 0)]
-    while stack:
-        members, pos = stack.pop()
-        if len(members) < 2:
-            continue
-        heads = [seqs[m][pos] if pos < len(seqs[m]) else None
-                 for m in members]
-        e = min(h[0] for h in heads if h is not None)  # keys are distinct
-        groups: dict = {}
-        for m, h in zip(members, heads):
-            if h is not None and h[0] == e:
-                groups.setdefault(h[1], ([], pos + 1))[0].append(m)
-            else:  # coefficient 0 at e
-                groups.setdefault(None, ([], pos))[0].append(m)
-        if len(groups) == 1:  # every key has the same term at e
-            stack.append((members, pos + 1))
-            continue
-        bound = eps * NormValue.theta(e)
-        first = values[members[0]]
-        if any(values[m].norm_of_difference(first) > bound
-               for m in members[1:]):
-            return False
-        stack.extend(groups.values())
-    return True
-
-
 def require_one_lipschitz(f: FiniteFunction, what: str = "input",
                           tree=None) -> None:
     """Raise NotLipschitzError unless f is 1-Lipschitz; the witness is

@@ -267,8 +267,9 @@ def test_generator_walk_costs_linear_differences(monkeypatch):
 
 
 def test_generator_check_costs_linear_differences(monkeypatch):
-    """The generator's soundness check runs on term prefixes: O(n * depth)
-    value differences, where the pair scan took one per pair."""
+    """The generator's soundness check runs on the ball tree: O(n * depth)
+    value differences on every backend, where the pair scan took one per
+    pair."""
     calls = [0]
     method = FieldElement.norm_of_difference
 
@@ -277,9 +278,11 @@ def test_generator_check_costs_linear_differences(monkeypatch):
         return method(self, other)
 
     monkeypatch.setattr(FieldElement, "norm_of_difference", counted)
-    inst = generate_instance(1, "finite-line", T, size=256)
-    assert len(inst.function.entries) == 256
-    assert calls[0] <= 8 * 256
+    for field, size in ((T, 256), (P3, 100)):
+        calls[0] = 0
+        inst = generate_instance(1, "finite-line", field, size=size)
+        assert len(inst.function.entries) == size
+        assert calls[0] <= 8 * size, field
 
 
 def _container_sizes(module):

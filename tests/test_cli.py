@@ -114,9 +114,13 @@ def test_parse_instance_errors():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_generated_finite_instances_are_lipschitz(seed):
-    for profile in ("finite-line", "finite-plane", "finite-nd"):
-        inst = parse_instance(json.dumps(generate(seed, profile)))
-        assert is_lipschitz(inst.function, NORM_ONE).ok
+    """The pair scan, which shares no code with the generator's ball-tree
+    check, on every backend."""
+    for field in (FieldDescriptor("t-adic"), FieldDescriptor("puiseux"),
+                  FieldDescriptor("p-adic", prime=3)):
+        for profile in ("finite-line", "finite-plane", "finite-nd"):
+            inst = parse_instance(json.dumps(generate(seed, profile, field)))
+            assert is_lipschitz(inst.function, NORM_ONE).ok
 
 
 @pytest.mark.parametrize("seed", range(6))

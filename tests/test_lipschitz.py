@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from ultralip.balltree import BallTree
 from ultralip.field import FieldDescriptor, NormValue, Point
-from ultralip.generate import generate_instance, vanishing_values
+from ultralip.generate import vanishing_values
 from ultralip.lipschitz import (
     FiniteFunction,
     NotLipschitzError,
     finite_function_1d,
+    first_violation,
     is_lipschitz,
     reduce_to_risometry,
     restore_value,
     risometry_check,
-    terms_lipschitz_ok,
 )
 
 T = FieldDescriptor("t-adic")
@@ -55,12 +55,38 @@ def test_witness_realizes_constant():
     assert ratio == rep.constant
 
 
+def _tree_ok(f, eps):
+    """The ball tree's answer, checked against first_violation's."""
+    ok = BallTree(f.domain()).lipschitz_ok([v for _, v in f.entries],
+                                           eps.exponent)
+    assert ok is (first_violation(f.entries, eps) is None)
+    return ok
+
+
 def test_is_lipschitz_examples():
     assert is_lipschitz(ff([(T.zero(), T.zero()), (t(1), t(1))]), theta(0)).ok
     rep = is_lipschitz(ff([(T.zero(), T.zero()), (t(2), t(1))]), theta(0))
     assert not rep.ok
     assert len(rep.violations) == 1
     assert is_lipschitz(ff([(t(1), t(4))]), theta(0)).ok  # singleton
+
+
+def test_terms_decider_examples():
+    """Keys that share leading terms, decided by the pair scan and the tree."""
+    # keys 1 + t and 1 + 2t share the term 1: they are theta(1) apart
+    pair = ff([(T.one() + t(1), T.zero()), (T.one() + t(1, 2), t(1))])
+    cases = [
+        (ff([(T.zero(), T.zero()), (t(1), t(1))]), 0, True),
+        (ff([(T.zero(), T.zero()), (t(2), t(1))]), 0, False),
+        (pair, 0, True),
+        (pair, 1, False),
+        (ff([(t(1), t(4))]), 0, True),  # singleton
+    ]
+    for f, k, want in cases:
+        assert is_lipschitz(f, theta(k)).ok is want
+        assert _tree_ok(f, theta(k)) is want
+    with pytest.raises(ValueError):
+        is_lipschitz(pair, NormValue.zero())
 
 
 def test_duplicate_points_rejected():
@@ -148,7 +174,7 @@ def test_reduce_output_properties_randomized():
         assert _restore(g, t(-1), axes=[1]) == inst.function.entries
 
 
-# -- the term-prefix decider ------------------------------------------------
+# -- the ball tree against the pair scan on Laurent data --------------------
 
 
 @st.composite
@@ -181,47 +207,5 @@ def laurent_functions(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(laurent_functions(), st.sampled_from([-1, 0, 1]))
-def test_terms_decider_matches_pair_scan_and_ball_tree(f, k):
-    eps = theta(k)
-    ok = terms_lipschitz_ok(f, eps)
-    assert ok is is_lipschitz(f, eps).ok
-    assert ok is BallTree(f.domain()).lipschitz_ok(
-        [v for _, v in f.entries], eps.exponent)
-
-
-@settings(max_examples=100, deadline=None)
-@given(laurent_functions(), st.sampled_from([-1, 0, 1]))
-def test_terms_decider_declines_rational_forms(f, k):
-    unit = f.field.one() / f.field.from_terms([(0, 1), (1, 1)])
-    mapped = FiniteFunction(f.n, tuple(
-        (Point(tuple(unit * c for c in p.coords)), unit * v)
-        for p, v in f.entries))
-    got = terms_lipschitz_ok(mapped, theta(k))
-    if any(x.den != ((0, 1),) for p, v in mapped.entries
-           for x in (*p.coords, v)):
-        assert got is None
-    else:  # every element was a multiple of 1 + t
-        assert got is is_lipschitz(mapped, theta(k)).ok
-
-
-def test_terms_decider_declines_p_adic_data():
-    P3 = FieldDescriptor("p-adic", prime=3)
-    for seed in range(4):
-        f = generate_instance(seed, "finite-line", P3, size=6).function
-        assert terms_lipschitz_ok(f, theta(0)) is None
-    f = generate_instance(0, "finite-line", T, size=6).function
-    assert terms_lipschitz_ok(f, theta(0)) is True
-
-
-def test_terms_decider_examples():
-    assert terms_lipschitz_ok(ff([(T.zero(), T.zero()), (t(1), t(1))]),
-                              theta(0)) is True
-    assert terms_lipschitz_ok(ff([(T.zero(), T.zero()), (t(2), t(1))]),
-                              theta(0)) is False
-    # keys 1 + t and 1 + 2t share the term 1: they are theta(1) apart
-    pair = ff([(T.one() + t(1), T.zero()), (T.one() + t(1, 2), t(1))])
-    assert terms_lipschitz_ok(pair, theta(0)) is True
-    assert terms_lipschitz_ok(pair, theta(1)) is False
-    assert terms_lipschitz_ok(ff([(t(1), t(4))]), theta(0)) is True
-    with pytest.raises(ValueError):
-        terms_lipschitz_ok(pair, NormValue.zero())
+def test_ball_tree_matches_pair_scan_on_laurent_data(f, k):
+    assert _tree_ok(f, theta(k)) is is_lipschitz(f, theta(k)).ok
