@@ -73,6 +73,7 @@ ENTRIES = {
                            "--size", "2000"],
     "generate-plane-240": ["generate", "--profile", "finite-plane",
                            "--size", "240"],
+    "generate-nd-40": ["generate", "--profile", "finite-nd", "--size", "40"],
     "generate-p-adic-3-line-100": ["generate", "--profile", "finite-line",
                                    "--size", "100", "--field", "p-adic",
                                    "--prime", "3"],

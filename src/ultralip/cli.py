@@ -107,17 +107,6 @@ def values_verdict(samples: list[Point], values: list, pairs,
     return _verdict(name, True)
 
 
-def routes_verdict(G, samples: list[Point], values: list, name: str) -> dict:
-    """Whether a second evaluation route G gives the stored values of F
-    at the samples; a failing verdict's witness is the first sample
-    where they differ."""
-    for x, fx in zip(samples, values):
-        gx = G(x)
-        if fx != gx:
-            return _verdict(name, False, _pair_witness(x, x, fx, gx))
-    return _verdict(name, True)
-
-
 def configuration_verdict(cells, transport) -> dict:
     """Whether the image cells of a transport have the configuration of
     the source cells, and its point map keeps every skeleton point's
@@ -199,8 +188,6 @@ def _run_extend_cell(inst: Instance, rng, window, count):
     samples = sample_points(rng, inst.field, 1, anchors, window, count)
     values = [F(x) for x in samples]
     verdicts = [values_verdict(samples, values, pairs, "extends-members"),
-                routes_verdict(F.extras["split"], samples, values,
-                               "split-route-agrees"),
                 configuration_verdict(inst.cells, transport),
                 lipschitz_verdict(F, samples, values=values)]
     return F, verdicts, samples, values

@@ -454,9 +454,8 @@ def extend_cell_risometry_line(cells: Sequence[Cell1D],
 
     Builds the family skeleton and its transported image, maps the cells
     by their pieces and the skeleton points by the induced point map, and
-    averages over nearest skeleton points elsewhere.  The equivalent
-    two-step route (skeleton-average part plus a zero-extension of the
-    remainder) is exposed as the 'split' extra and must agree pointwise.
+    averages over nearest skeleton points elsewhere.  The transport is
+    kept as the 'transport' extra.
     """
     cells = list(cells)
     pieces = list(pieces)
@@ -486,17 +485,11 @@ def extend_cell_risometry_line(cells: Sequence[Cell1D],
             return v
         return skeleton_average(x.coords[0])
 
-    def evaluate_split(x: Point) -> FieldElement:
-        g = skeleton_average(x.coords[0])
-        v = tilde(x.coords[0])
-        remainder = (v - g) if v is not None else field.zero()
-        return g + remainder
-
     return ExtendedFunction(
         1, field, "cell-risometry", evaluate,
         description={"cells": len(cells),
                      "skeleton": [p.to_text() for p in skel_points]},
-        extras={"split": evaluate_split, "transport": transport})
+        extras={"transport": transport})
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +593,9 @@ def origins(family: GraphFamily):
 def _fiberwise(family: GraphFamily, value_fn) -> ExtendedFunction:
     """x -> the average of value_fn(ci, bi, x1) over the branches bi of
     x1's base cell ci whose graph points phi_b(x1) are nearest to x2; zero
-    off the base cells.  The fiber is keyed by graph point first, so of
-    branches sharing one the last counts, at the first one's position, and
-    value_fn runs only for the nearest branches."""
+    off the base cells.  The fiber is keyed by graph point; GraphFamily
+    refuses branches whose graphs meet inside a base cell, so the keys are
+    distinct, and value_fn runs only for the nearest branches."""
     field = family.field
 
     def evaluate(x: Point) -> FieldElement:
@@ -647,10 +640,6 @@ def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
         return F
     origin_fun = FiniteFunction(2, tuple((o, e) for o, e in olist))
     g = extend_finite_nd(origin_fun)
-    for o, e in olist:
-        if g(o) != e:
-            raise ExtensionError(
-                f"the origin extension misses the value at {o}")
 
     def reduced_value(ci, bi, x1):
         br = family.branches[ci][bi]

@@ -78,41 +78,41 @@ def _distinct_points(rng, field, n, count, window) -> list[Point]:
 
 def _finite_instance(rng, field, n, size, window) -> Instance:
     points = _distinct_points(rng, field, n, size, window)
-    values = vanishing_values(rng, points, [], window)
-    entries = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
+    entries, tree = vanishing_values(rng, points, [], window)
     fn = FiniteFunction(n, entries)
-    require_one_lipschitz(fn, "generated data")
+    require_one_lipschitz(fn, "generated data", tree)
     return Instance("extend-finite", field, function=fn)
 
 
 def vanishing_values(rng: random.Random, a_points: list[Point],
                      b_points: list[Point],
-                     window: tuple[int, int]) -> dict[Point, FieldElement]:
+                     window: tuple[int, int]) -> tuple[tuple, BallTree]:
     """1-Lipschitz values on A u B that vanish on B (any values when B is
     empty), assigned depth-first down the ball tree of the points sorted
     by sort_key: a ball holding a B-point is pinned at zero, any other
     child takes its parent's value perturbed within the parent's radius,
-    which is the parent's diameter."""
+    which is the parent's diameter.  Returns the (point, value) entries in
+    sort_key order and that tree, the ball tree of the entries in order."""
     b_set = set(b_points)
     pts = sorted(set(a_points) | b_set, key=lambda p: p.sort_key())
     field = pts[0].field
-    values: dict[Point, FieldElement] = {}
+    values: list = [None] * len(pts)
 
     def pinned(ball):
         return any(pts[m] in b_set for m in ball.members)
 
     def assign(ball, value):
         if not ball.children:
-            values[pts[ball.center]] = value
+            values[ball.center] = value
         for child in ball.children.values():
             assign(child, field.zero() if pinned(child) else
                    value + small_perturbation(
                        rng, field, NormValue.theta(ball.radius)))
 
-    root = BallTree(pts).root
-    assign(root, field.zero() if b_points else
+    tree = BallTree(pts)
+    assign(tree.root, field.zero() if b_points else
            random_element(rng, field, window))
-    return values
+    return tuple(zip(pts, values)), tree
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,12 @@ def generate_vanishing_pair(seed: int, field: FieldDescriptor | None = None,
         try:
             pts = _distinct_points(rng, field, n, a_size + b_size, window)
             a_points, b_points = pts[:a_size], pts[a_size:]
-            values = vanishing_values(rng, a_points, b_points, window)
-            entries = tuple(sorted(((p, values[p]) for p in a_points),
-                                   key=lambda kv: kv[0].sort_key()))
-            fn = FiniteFunction(n, entries)
-            union = FiniteFunction(n, tuple(sorted(
-                values.items(), key=lambda kv: kv[0].sort_key())))
-            require_one_lipschitz(union, "generated data")
+            entries, tree = vanishing_values(rng, a_points, b_points, window)
+            require_one_lipschitz(FiniteFunction(n, entries),
+                                  "generated data", tree)
+            b_set = set(b_points)
+            fn = FiniteFunction(n, tuple(kv for kv in entries
+                                         if kv[0] not in b_set))
             return Instance("glue", field, glue_a=fn, glue_b=tuple(b_points))
         except (RuntimeError, ValueError):
             continue

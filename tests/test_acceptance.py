@@ -45,6 +45,7 @@ from ultralip.skeleton import (
     transport_skeleton,
 )
 
+from cell_reference import ReferenceCellExtension
 from ladder_reference import ReferenceLadder
 
 T = FieldDescriptor("t-adic")
@@ -425,7 +426,7 @@ def test_criterion_6_risometry_machinery():
             failures.append((seed, "combined-risometry"))
 
         F = extend_cell_risometry_line(cells, pieces)
-        split = F.extras["split"]
+        reference = ReferenceCellExtension(cells, pieces)
         anchors = [Point((x,)) for x, _ in
                    [(cell_member(c, bi), None) for c in cells
                     for bi in range(len(c.boxes))]]
@@ -433,8 +434,8 @@ def test_criterion_6_risometry_machinery():
         samples = sample_points(rng, T, 1, anchors, WINDOW, 200)
         values = [F(x) for x in samples]
         for x, v in zip(samples, values):
-            if v != split(x):
-                failures.append((seed, "split-route", x))
+            if v != reference(x):
+                failures.append((seed, "reference", x))
                 break
         if check_lipschitz_pairs(samples, values) is not None:
             failures.append((seed, "lipschitz"))

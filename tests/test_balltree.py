@@ -261,9 +261,13 @@ def test_generator_walk_costs_linear_differences(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(FieldElement, name, counted)
-    values = vanishing_values(random.Random(0), pts, [], (-6, 6))
-    assert len(values) == 256
+    entries, tree = vanishing_values(random.Random(0), pts, [], (-6, 6))
+    assert len(entries) == 256
     assert calls[0] <= 8 * 256
+    # the returned tree is the ball tree of the entries, in their order
+    assert [p for p, _ in entries] == sorted(pts, key=lambda p: p.sort_key())
+    assert all(tree.locate(p)[0].members == (i,)
+               for i, (p, _) in enumerate(entries))
 
 
 def test_generator_check_costs_linear_differences(monkeypatch):

@@ -7,11 +7,13 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import time
 import warnings
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -229,6 +231,18 @@ def test_run_instance_report_shape():
     assert report["task"] == "extend-finite"
     assert report["samples"] and report["instance"]
     assert isinstance(report["timing_ms"], float)
+
+
+def test_readme_verdict_table_names_the_corpus_verdicts():
+    """The README's verdict table has one row per verdict that the golden
+    corpus holds, so a deleted verdict cannot stay documented."""
+    here = Path(__file__).parent
+    readme = (here.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \|", readme, re.MULTILINE)
+    corpus = {v["name"] for path in (here / "golden").rglob("*.json")
+              for v in json.loads(path.read_text()).get("verdicts", [])}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == corpus
 
 
 def _named_verdict(report, name):

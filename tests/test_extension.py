@@ -49,6 +49,8 @@ from ultralip.extension import (
 )
 from ultralip.serialize import parse_instance
 
+from cell_reference import ReferenceCellExtension
+from graph_reference import ReferenceGraphExtension
 from ladder_reference import FiberRefused, ReferenceLadder
 
 T = FieldDescriptor("t-adic")
@@ -675,15 +677,59 @@ def _disjoint_ball_cells():
             Cell1D(t(1, 3), (ExactBox(t(1).rv()),))]
 
 
-def test_cell_risometry_split_agreement():
+def test_cell_risometry_matches_the_reference():
     cells = _disjoint_ball_cells()
-    slope = T.one() + t(2)
-    F = extend_cell_risometry_line(cells, [(slope, t(3))] * 2)
-    split = F.extras["split"]
+    pieces = [(T.one() + t(2), t(3))] * 2
+    F = extend_cell_risometry_line(cells, pieces)
+    reference = ReferenceCellExtension(cells, pieces)
     probes = [pt(x) for x in (t(1), t(1) + t(2), t(1, 4), t(2),
                               t(1, Q(1, 2)), T.from_int(2), t(-1))]
     for x in probes:
-        assert F(x) == split(x)
+        assert F(x) == reference(x)
+
+
+def _cell_samples(inst, F, seed):
+    """Samples around the members of the cells and the skeleton points."""
+    anchors = [pt(m) for cell in inst.cells
+               for m in (cell_member(cell, i) for i in range(len(cell.boxes)))]
+    anchors += [pt(p) for p in F.extras["transport"].source.points()]
+    return sample_points(random.Random(seed), inst.field, 1, anchors,
+                         (-6, 6), 40)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([T, PX, P3]), st.integers(0, 10 ** 6))
+def test_cell_extension_matches_the_reference(field, seed):
+    # the reference finds the nearest skeleton points by pairwise
+    # distances; a p-adic family with the annulus unit 3 is refused
+    inst = generate_instance(seed, "cells-line", field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        try:
+            F = extend_cell_risometry_line(list(inst.cells), list(inst.pieces))
+            samples = _cell_samples(inst, F, seed)
+        except ValueError:
+            assert field is P3
+            return
+        reference = ReferenceCellExtension(inst.cells, inst.pieces)
+        for x in samples:
+            assert F(x) == reference(x), x.to_text()
+
+
+class _LastMember(_NearestAverage):
+    """A wrong nearest average: the value of the nearest set's last key."""
+
+    def __call__(self, x):
+        value = self.values[self.tree.locate(x)[0].members[-1]]
+        return value if self.value_of is None else self.value_of(value)
+
+
+def test_cell_reference_sees_the_skeleton_average(monkeypatch):
+    monkeypatch.setattr(extension, "_NearestAverage", _LastMember)
+    inst = generate_instance(0, "cells-line", T)
+    F = extend_cell_risometry_line(list(inst.cells), list(inst.pieces))
+    reference = ReferenceCellExtension(inst.cells, inst.pieces)
+    assert any(F(x) != reference(x) for x in _cell_samples(inst, F, 0))
 
 
 def test_cell_risometry_extends_members_and_is_lipschitz():
@@ -776,7 +822,44 @@ def test_graph_family_validation():
         GraphFamily((base,), (crossing,))
 
 
-def _eager_fiberwise(family, value_fn):
+def _graph_samples(family, seed, count=40):
+    """Samples around the graph points and origins, at scales down to
+    t^-15, beyond the generated branch intercepts t^(lo - 4) = t^-10: there
+    the graph points of one base cell tie at some samples."""
+    olist, _ = origins(family)
+    anchors = [o for o, _ in olist] + [
+        pt(x1, br.phi(x1))
+        for cell, brs in zip(family.base_cells, family.branches)
+        for x1 in (cell_member(cell, i) for i in range(len(cell.boxes)))
+        for br in brs]
+    return sample_points(random.Random(seed), family.field, 2, anchors,
+                         (-14, 6), count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([T, PX, P3]), st.integers(0, 10 ** 6))
+def test_graph_extension_matches_the_reference(field, seed):
+    # the reference averages over the nearest branches by pairwise
+    # distances and subtracts the reference ladder of the origin values
+    family = generate_instance(seed, "graphs", field).family
+    F = extend_graph_family_via_reduction(family)
+    reference = ReferenceGraphExtension(family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        for x in _graph_samples(family, seed):
+            assert F(x) == reference(x), x.to_text()
+
+
+def test_graph_reference_sees_the_fiber_average(monkeypatch):
+    monkeypatch.setattr(extension, "_fiberwise", lambda family, value_fn:
+                        _eager_fiberwise(family, value_fn, _LastMember))
+    family = generate_instance(1, "graphs", T).family
+    F = extend_graph_family_via_reduction(family)
+    reference = ReferenceGraphExtension(family)
+    assert any(F(x) != reference(x) for x in _graph_samples(family, 1))
+
+
+def _eager_fiberwise(family, value_fn, average=_NearestAverage):
     """The fiber with every branch value computed, then the nearest ones
     averaged: the reference for the lazy fiber."""
     def evaluate(x):
@@ -786,7 +869,7 @@ def _eager_fiberwise(family, value_fn):
                 data = {}
                 for bi, br in enumerate(family.branches[ci]):
                     data[br.phi(x1)] = value_fn(ci, bi, x1)
-                return _NearestAverage(data)(x2)
+                return average(data)(x2)
         return family.field.zero()
 
     return ExtendedFunction(2, family.field, "graph-fiberwise", evaluate)
@@ -800,13 +883,7 @@ def test_lazy_fibers_match_the_eager_reference(monkeypatch, field):
         family = generate_instance(seed, "graphs", field).family
         olist, _ = origins(family)
         assert not all(e.is_zero for _, e in olist)  # the reduced pipeline
-        anchors = [o for o, _ in olist] + [
-            pt(x1, br.phi(x1))
-            for cell, brs in zip(family.base_cells, family.branches)
-            for x1 in (cell_member(cell, i) for i in range(len(cell.boxes)))
-            for br in brs]
-        samples = sample_points(random.Random(seed), field, 2, anchors,
-                                (-6, 6), 60)
+        samples = _graph_samples(family, seed, 60)
 
         def run(make):
             F = make(family)

@@ -196,8 +196,8 @@ def laurent_functions(draw):
     if mode == "random":
         values = [draw(element) for _ in keys]
     else:
-        walked = vanishing_values(random.Random(draw(st.integers(0, 999))),
-                                  keys, [], (-2, 2))
+        walked = dict(vanishing_values(
+            random.Random(draw(st.integers(0, 999))), keys, [], (-2, 2))[0])
         values = [walked[k] for k in keys]
         if mode == "one-moved":
             i = draw(st.integers(0, len(keys) - 1))
