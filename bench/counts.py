@@ -9,7 +9,8 @@ on the report, through `ultralip.cli.main`, in a fresh process started
 with PYTHONHASHSEED=0, so that no set order and no cache left by an
 earlier entry can move a count.  Generated entries are t-adic at seed 1;
 the others are instances of the golden corpus.  The `generate-*` entries
-count the `generate --seed 1` command alone.
+count the `generate --seed 1` command alone, and the `parse-*` entries
+one `parse_instance` of their instance alone, from its loaded JSON.
 
 Per entry the record holds:
 
@@ -51,7 +52,8 @@ GOLDEN = HERE.parent / "tests" / "golden"
 TOLERANCE = 0.02
 
 # name -> (profile, size) for `generate --seed 1`, or a golden instance,
-# whose chain is counted; or ["generate", flags...] counted alone
+# whose chain is counted; ["generate", flags...] counted alone; or
+# {"parse": either instance form}, whose parse_instance is counted alone
 ENTRIES = {
     "line-50": ("finite-line", 50),
     "line-200": ("finite-line", 200),
@@ -77,6 +79,8 @@ ENTRIES = {
     "generate-p-adic-3-line-100": ["generate", "--profile", "finite-line",
                                    "--size", "100", "--field", "p-adic",
                                    "--prime", "3"],
+    "parse-line-800": {"parse": ("finite-line", 800)},
+    "parse-unit-finite-plane": {"parse": "t-adic/unit-finite-plane-0.json"},
 }
 
 # qualified names of the functions counted one by one, in the package or
@@ -99,11 +103,11 @@ COUNTED = (
 )
 
 
-def _instance(name: str, tmp: str) -> str:
-    """The path of the entry's instance, generating it if need be."""
+def _instance(spec, tmp: str) -> str:
+    """The path of a golden or generated instance, generating it if need
+    be."""
     from ultralip.cli import main
 
-    spec = ENTRIES[name]
     if isinstance(spec, str):
         return str(GOLDEN / spec)
     profile, size = spec
@@ -112,7 +116,7 @@ def _instance(name: str, tmp: str) -> str:
     if size is not None:
         argv += ["--size", str(size)]
     if main(argv) != 0:
-        raise SystemExit(f"{name}: generate failed")
+        raise SystemExit(f"{profile}: generate failed")
     return path
 
 
@@ -123,6 +127,13 @@ def _generate(argv: list, tmp: str) -> None:
     out = os.path.join(tmp, "instance.json")
     if main(argv + ["--seed", "1", "-o", out]) != 0:
         raise SystemExit(f"{' '.join(argv)} failed")
+
+
+def _parse(data: dict, tmp: str) -> None:
+    """parse_instance alone, on the loaded JSON of an instance."""
+    from ultralip.serialize import parse_instance
+
+    parse_instance(data)
 
 
 def _chain(inst: str, tmp: str) -> None:
@@ -159,10 +170,15 @@ def measure(name: str, repeats: int) -> dict:
     then CPU times of `repeats` more."""
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(ENTRIES[name], list):
-            work, arg = _generate, ENTRIES[name]
+        spec = ENTRIES[name]
+        if isinstance(spec, list):
+            work, arg = _generate, spec
+        elif isinstance(spec, dict):
+            with open(_instance(spec["parse"], tmp)) as fh:
+                work, arg = _parse, json.load(fh)
+            _parse(arg, tmp)  # imports the package outside the profile
         else:
-            work, arg = _chain, _instance(name, tmp)
+            work, arg = _chain, _instance(spec, tmp)
         profile = cProfile.Profile()
         profile.runcall(work, arg, tmp)
         out = {"counts": _counts(profile)}

@@ -420,6 +420,39 @@ def _pgcd_int(a: Poly, b: Poly) -> Poly:
     return _pscale(a, 1 / a[-1][1])
 
 
+_P = (1 << 61) - 1  # a Mersenne prime
+_IMAGE_CAP = 4096  # the most terms a dense image mod _P may have
+
+
+def _proved_coprime(a: Poly, b: Poly) -> bool:
+    """True when a and b, with nonnegative rational exponents, are proven
+    coprime over Q, False when unknown: scaled to integer coefficients,
+    their dense images in GF(_P)[u], u = t^(1/N), keep both leading
+    coefficients and have a constant gcd, so by Gauss's lemma they share
+    no factor over Q.  An image longer than _IMAGE_CAP is never built."""
+    n = math.lcm(*(e.denominator for e, _ in a + b))
+    if max(a[-1][0], b[-1][0]) * n >= _IMAGE_CAP:
+        return False
+    images = [[0] * (int(p[-1][0] * n) + 1) for p in (a, b)]
+    for p, image in zip((a, b), images):
+        scale = math.lcm(*(c.denominator for _, c in p))
+        for e, c in p:
+            image[int(e * n)] = c.numerator * (scale // c.denominator) % _P
+        if not image[-1]:
+            return False
+    a, b = images
+    while len(b) > 1:  # Euclid over GF(_P), lists from degree 0 up
+        a, top, inv = a[:], len(b) - 1, pow(b[-1], -1, _P)
+        for i in range(len(a) - 1, top - 1, -1):
+            if q := a[i] * inv % _P:
+                for j in range(top):
+                    a[i - top + j] = (a[i - top + j] - q * b[j]) % _P
+        a, b = b, a[:top]
+        while len(b) > 1 and not b[-1]:
+            b.pop()
+    return b[0] != 0
+
+
 def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Reduce to the canonical form: gcd-free, den of order 0 with constant
     coefficient 1.  Structural equality of canonical forms is field equality.

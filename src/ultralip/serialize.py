@@ -3,8 +3,9 @@
 The element grammar is the canonical JSON-embedded representation:
 p-adic elements are written "num/den"; series elements are written
 "(c1*t^e1 + ...)/(d1*t^f1 + ...)" with rational coefficients and integer
-or parenthesised rational exponents.  Parsing is strict about structure
-but tolerant of whitespace and of omitting a trivial denominator.
+or parenthesised rational exponents, in ASCII digits.  Text in exactly
+that form is read in one pass; other text is parsed strictly in
+structure but tolerant of whitespace and of a missing trivial denominator.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .field import (
     Q,
     RVValue,
 )
+from .field import _ONE_POLY, _proved_coprime, _pshift
 from .geometry import AnnulusBox, Cell1D, ExactBox, RVBox
 from .lipschitz import FiniteFunction
 from .extension import GraphBranch, GraphFamily
@@ -44,7 +46,7 @@ def parse_rational(s, path="rational") -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        m = re.fullmatch(r"\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?", s)
+        m = re.fullmatch(r"\s*(-?[0-9]+)\s*(?:/\s*(-?[0-9]+)\s*)?", s)
         if m:
             num = int(m.group(1))
             den = int(m.group(2)) if m.group(2) else 1
@@ -59,8 +61,9 @@ def emit_rational(q: Fraction):
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>-?\d+(?:/\d+)?)(?:\*(?P<tc>t(?:\^(?P<exp>-?\d+|\(-?\d+/-?\d+\)))?))?"
-    r"|(?P<t>t(?:\^(?P<exp2>-?\d+|\(-?\d+/-?\d+\)))?))$")
+    r"^(?:(?P<coef>-?[0-9]+(?:/[0-9]+)?)"
+    r"(?:\*(?P<tc>t(?:\^(?P<exp>-?[0-9]+|\(-?[0-9]+/-?[0-9]+\)))?))?"
+    r"|(?P<t>t(?:\^(?P<exp2>-?[0-9]+|\(-?[0-9]+/-?[0-9]+\)))?))$")
 
 
 def _parse_exponent(s: str | None, path: str) -> Fraction:
@@ -118,10 +121,54 @@ def _split_fraction(s: str, path: str) -> tuple[str, str | None]:
     raise InstanceError(path, f"unbalanced parentheses in {s!r}")
 
 
+_CANONICAL_TERM = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?\*t\^"
+                             r"(?:(-?[0-9]+)|\((-?[0-9]+)/(0*[1-9][0-9]*)\))")
+
+
+def _read_terms(s: str, integral: bool) -> tuple | None:
+    """The terms of one side of canonical text, with nonzero coefficients
+    and strictly increasing exponents, integers if integral; else None."""
+    terms = []
+    for chunk in s.split(" + "):
+        m = _CANONICAL_TERM.fullmatch(chunk)
+        if m is None or integral and m[3] is None:
+            return None
+        cn, cd, e, en, ed = m.groups()
+        e = Fraction(int(e)) if e else Fraction(int(en), int(ed))
+        c = Fraction(int(cn), int(cd)) if cd else Fraction(int(cn))
+        if not c or terms and e <= terms[-1][0]:
+            return None
+        terms.append((e, c))
+    return tuple(terms)
+
+
+def _read_canonical(field: FieldDescriptor, s: str) -> FieldElement | None:
+    """The series element s writes in to_text's form, read in one pass; None
+    for other text, or when _proved_coprime cannot prove the form reduced."""
+    if s == "(0)":
+        return field.zero()
+    sides = s[1:-1].split(")/(")
+    if s[:1] != "(" or s[-1:] != ")" or len(sides) != 2:
+        return None
+    try:
+        num, den = (_read_terms(x, not field.dense_value_group) for x in sides)
+    except ValueError:  # digits past int's limit; the general route reports them
+        return None
+    if num is None or den is None or den[0] != _ONE_POLY[0]:
+        return None
+    if len(den) == 1:
+        den = _ONE_POLY
+    elif len(num) > 1 and not _proved_coprime(_pshift(num, -num[0][0]), den):
+        return None
+    return FieldElement(field, num, den)
+
+
 def parse_element(field: FieldDescriptor, s, path="element") -> FieldElement:
     if not isinstance(s, str):
         raise InstanceError(path, f"expected an element string, got {type(s).__name__}")
     if field.is_series:
+        if (element := _read_canonical(field, s)) is not None:
+            return element
         num_s, den_s = _split_fraction(s, path)
         num = _parse_terms(num_s, path)
         den = _parse_terms(den_s, path) if den_s is not None else [(0, 1)]

@@ -88,6 +88,49 @@ def test_element_parse_inputs():
         parse_element(T, "(t^(1/2))")  # not in the discrete exponent group
 
 
+def _finite_line(kind, pairs):
+    return {"task": "extend-finite", "field": {"kind": kind},
+            "function": {"n": 1, "entries": [{"x": [x], "fx": fx}
+                                             for x, fx in pairs]}}
+
+
+# (x, f(x)) written with spaces, bare t, unsorted and zero terms, an
+# unreduced coefficient and common factors, next to to_text's forms
+NON_CANONICAL_LINE = [("(t + t^2)/(t + t^3)", "t"),
+                      ("( t^2 )", "(t^2 + t + 0*t^5)"),
+                      ("0", "(2/2*t^2 + 1*t^1)/(1*t^0 + 1*t^1)")]
+CANONICAL_LINE = [("(1*t^0 + 1*t^1)/(1*t^0 + 1*t^2)", "(1*t^1)/(1*t^0)"),
+                  ("(1*t^2)/(1*t^0)", "(1*t^1 + 1*t^2)/(1*t^0)"),
+                  ("(0)", "(1*t^1)/(1*t^0)")]
+
+
+def test_non_canonical_text_reports_like_its_canonical_twin(tmp_path):
+    reports = []
+    for pairs in (NON_CANONICAL_LINE, CANONICAL_LINE):
+        rc, out_path = _report(tmp_path, _finite_line("t-adic", pairs),
+                               "extend-finite")
+        assert rc == 0
+        reports.append(json.loads(open(out_path).read()))
+        reports[-1].pop("timing_ms")
+    assert reports[0] == reports[1]
+    assert [e["x"] for e in reports[0]["instance"]["function"]["entries"]] \
+        == [[x] for x, _ in CANONICAL_LINE]
+
+
+@pytest.mark.parametrize("kind", ("t-adic", "puiseux", "p-adic"))
+def test_a_non_ascii_digit_exits_2_and_names_its_path(tmp_path, kind):
+    # "٣" is a decimal digit to Python's \d and int, but not in the grammar
+    payload = _finite_line(kind, [("1", "0"), ("٣", "0")])
+    if kind == "p-adic":
+        payload["field"]["prime"] = 3
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc, _ = _report(tmp_path, payload, "extend-finite")
+    assert rc == 2
+    assert "$.function.entries[1].x[0]" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 # -- instance round-trips ---------------------------------------------------------
 
 
