@@ -11,6 +11,9 @@ earlier entry can move a count.  Generated entries are t-adic at seed 1;
 the others are instances of the golden corpus.  The `generate-*` entries
 count the `generate --seed 1` command alone, and the `parse-*` entries
 one `parse_instance` of their instance alone, from its loaded JSON.
+Every entry imports the package before its profile starts; the `import`
+entry counts that first `import ultralip.cli` alone, and records no CPU
+time, since only the first import in a process does the work.
 
 Per entry the record holds:
 
@@ -34,6 +37,7 @@ import argparse
 import contextlib
 import cProfile
 import fractions
+import importlib
 import io
 import json
 import os
@@ -52,8 +56,9 @@ GOLDEN = HERE.parent / "tests" / "golden"
 TOLERANCE = 0.02
 
 # name -> (profile, size) for `generate --seed 1`, or a golden instance,
-# whose chain is counted; ["generate", flags...] counted alone; or
-# {"parse": either instance form}, whose parse_instance is counted alone
+# whose chain is counted; ["generate", flags...] counted alone;
+# {"parse": either instance form}, whose parse_instance is counted alone;
+# or {"import": module}, whose first import is counted alone
 ENTRIES = {
     "line-50": ("finite-line", 50),
     "line-200": ("finite-line", 200),
@@ -81,6 +86,7 @@ ENTRIES = {
                                    "--prime", "3"],
     "parse-line-800": {"parse": ("finite-line", 800)},
     "parse-unit-finite-plane": {"parse": "t-adic/unit-finite-plane-0.json"},
+    "import": {"import": "ultralip.cli"},
 }
 
 # qualified names of the functions counted one by one, in the package or
@@ -169,14 +175,18 @@ def measure(name: str, repeats: int) -> dict:
     """One entry, in this process: counts from a first, profiled chain,
     then CPU times of `repeats` more."""
     sys.path.insert(0, str(SRC))
+    spec = ENTRIES[name]
+    if isinstance(spec, dict) and "import" in spec:
+        profile = cProfile.Profile()
+        profile.runcall(importlib.import_module, spec["import"])
+        return {"counts": _counts(profile)}
+    importlib.import_module("ultralip.cli")  # outside the profile
     with tempfile.TemporaryDirectory() as tmp:
-        spec = ENTRIES[name]
         if isinstance(spec, list):
             work, arg = _generate, spec
         elif isinstance(spec, dict):
             with open(_instance(spec["parse"], tmp)) as fh:
                 work, arg = _parse, json.load(fh)
-            _parse(arg, tmp)  # imports the package outside the profile
         else:
             work, arg = _chain, _instance(spec, tmp)
         profile = cProfile.Profile()

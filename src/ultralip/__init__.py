@@ -43,8 +43,8 @@ from .extension import (
     GraphFamily,
     epsilon_pipeline,
     extend_cell_risometry_line,
+    extend_finite,
     extend_finite_line,
-    extend_finite_nd,
     extend_graph_family_via_reduction,
     glue_union,
     glue_vanishing,

@@ -217,10 +217,10 @@ def glue_union(parts: Sequence[FiniteFunction]) -> ExtendedFunction:
     combined = union_function(parts)
     require_one_lipschitz(combined, "the combined function")
     if len(parts) == 1:
-        return extend_finite_nd(parts[0])
+        return extend_finite(parts[0])
 
     last = parts[-1]
-    f_last = extend_finite_nd(last)
+    f_last = extend_finite(last)
     rest_parts = []
     for part in parts[:-1]:
         entries = tuple((p, v - f_last(p)) for p, v in part.entries)
@@ -395,9 +395,9 @@ def _fiber_map(f: FiniteFunction, rest) -> tuple[list, list[dict]]:
     return bases, [fiber_map[b] for b in bases]
 
 
-def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
-    """The staged construction for finite data in n >= 2 variables (the
-    line average for n = 1).
+def extend_finite(f: FiniteFunction) -> ExtendedFunction:
+    """The construction for finite data in every dimension: the line
+    average for n = 1, and the staged construction for n >= 2.
 
     Builds the increasing ladder of first-coordinate distances, combines
     fibers per ladder class around the fiber nearest the evaluation
@@ -420,7 +420,7 @@ def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
                 return average
         entries = tuple(sorted(data.items(), key=lambda kv: kv[0].sort_key()))
         try:
-            return extend_finite_nd(FiniteFunction(f.n - 1, entries)).evaluator
+            return extend_finite(FiniteFunction(f.n - 1, entries)).evaluator
         except NotLipschitzError as e:  # f passed, so averaging broke it
             fiber = [p.to_text() for p, _ in entries]
             raise NotLipschitzError(
@@ -437,10 +437,6 @@ def extend_finite_nd(f: FiniteFunction) -> ExtendedFunction:
     return ExtendedFunction(
         f.n, f.field, "plane-ladder" if f.n == 2 else "nd-ladder", evaluate,
         description={"points": len(f.entries), "bases": len(bases)})
-
-
-# one construction serves finite data in every dimension
-extend_finite = extend_finite_nd
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +635,7 @@ def extend_graph_family_via_reduction(family: GraphFamily) -> ExtendedFunction:
         F.extras["origins"] = olist
         return F
     origin_fun = FiniteFunction(2, tuple((o, e) for o, e in olist))
-    g = extend_finite_nd(origin_fun)
+    g = extend_finite(origin_fun)
 
     def reduced_value(ci, bi, x1):
         br = family.branches[ci][bi]

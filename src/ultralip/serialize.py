@@ -3,9 +3,10 @@
 The element grammar is the canonical JSON-embedded representation:
 p-adic elements are written "num/den"; series elements are written
 "(c1*t^e1 + ...)/(d1*t^f1 + ...)" with rational coefficients and integer
-or parenthesised rational exponents, in ASCII digits.  Text in exactly
-that form is read in one pass; other text is parsed strictly in
-structure but tolerant of whitespace and of a missing trivial denominator.
+or parenthesised rational exponents, in ASCII digits.  One reader takes
+all series text, strict in structure but tolerant of whitespace, term
+order and a missing trivial denominator; terms it finds already in
+canonical form are built as they stand, others are reduced.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .field import (
     FieldElement,
     NormValue,
     Point,
-    Q,
     RVValue,
 )
-from .field import _ONE_POLY, _proved_coprime, _pshift
+from .field import _ONE_POLY, _ZERO, _proved_coprime, _pshift
 from .geometry import AnnulusBox, Cell1D, ExactBox, RVBox
 from .lipschitz import FiniteFunction
 from .extension import GraphBranch, GraphFamily
@@ -48,8 +48,11 @@ def parse_rational(s, path="rational") -> Fraction:
     if isinstance(s, str):
         m = re.fullmatch(r"\s*(-?[0-9]+)\s*(?:/\s*(-?[0-9]+)\s*)?", s)
         if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            try:
+                num = int(m.group(1))
+                den = int(m.group(2)) if m.group(2) else 1
+            except ValueError as e:  # past int's digit limit
+                raise InstanceError(path, str(e))
             if den == 0:
                 raise InstanceError(path, "zero denominator")
             return Fraction(num, den)
@@ -60,43 +63,48 @@ def emit_rational(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# a term is c, c*t, c*t^e, t or t^e, with c = n or n/d and e = n or (n/d);
+# a side is (N), or (N)/(D), whose terms hold one level of parentheses
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>-?[0-9]+(?:/[0-9]+)?)"
-    r"(?:\*(?P<tc>t(?:\^(?P<exp>-?[0-9]+|\(-?[0-9]+/-?[0-9]+\)))?))?"
-    r"|(?P<t>t(?:\^(?P<exp2>-?[0-9]+|\(-?[0-9]+/-?[0-9]+\)))?))$")
+    r"(?:(-?[0-9]+)(?:/([0-9]+))?(?:\*(?=t)|\Z))?"
+    r"(?:(t)(?:\^(?:(-?[0-9]+)|\((-?[0-9]+)/(-?[0-9]+)\)))?)?")
+_SIDES_RE = re.compile(r"\(((?:[^()]|\([^()]*\))*)\)"
+                       r"(?:/\(((?:[^()]|\([^()]*\))*)\))?")
+_ONE = Fraction(1)
 
 
-def _parse_exponent(s: str | None, path: str) -> Fraction:
-    if s is None:
-        return Q(1)
-    if s.startswith("("):
-        s = s[1:-1]
-    return parse_rational(s, path)
-
-
-def _parse_terms(s: str, path: str) -> list[tuple[Fraction, Fraction]]:
-    s = s.strip()
+def _read_terms(s: str, path: str, integral: bool) -> tuple[tuple, bool]:
+    """The (exponent, coefficient) terms of one side, as written, and
+    whether they are canonical: nonzero coefficients, strictly increasing
+    exponents, and no parenthesised exponent if integral."""
+    s = s.strip().replace(" ", "")
     if s in ("", "0"):
-        return []
+        return (), True
     terms = []
+    canonical = True
     for chunk in s.split("+"):
-        chunk = chunk.replace(" ", "")
         if not chunk:
             raise InstanceError(path, "empty term")
         m = _TERM_RE.fullmatch(chunk)
-        if not m:
+        if m is None:
             raise InstanceError(path, f"bad term {chunk!r}")
-        if m.group("t"):
-            coef = Q(1)
-            exp = _parse_exponent(m.group("exp2"), path)
+        cn, cd, t, e, en, ed = m.groups()
+        if cn is None:
+            c = _ONE
+        elif cd is None:
+            c = Fraction(int(cn))
         else:
-            coef = parse_rational(m.group("coef"), path)
-            if m.group("tc"):
-                exp = _parse_exponent(m.group("exp"), path)
-            else:
-                exp = Q(0)
-        terms.append((exp, coef))
-    return terms
+            c = Fraction(int(cn), int(cd))
+        if t is None:
+            e = _ZERO
+        elif en is not None:
+            e = Fraction(int(en), int(ed))
+        else:
+            e = _ONE if e is None else Fraction(int(e))
+        if not c or terms and e <= terms[-1][0] or integral and en is not None:
+            canonical = False
+        terms.append((e, c))
+    return tuple(terms), canonical
 
 
 def _split_fraction(s: str, path: str) -> tuple[str, str | None]:
@@ -121,62 +129,36 @@ def _split_fraction(s: str, path: str) -> tuple[str, str | None]:
     raise InstanceError(path, f"unbalanced parentheses in {s!r}")
 
 
-_CANONICAL_TERM = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?\*t\^"
-                             r"(?:(-?[0-9]+)|\((-?[0-9]+)/(0*[1-9][0-9]*)\))")
-
-
-def _read_terms(s: str, integral: bool) -> tuple | None:
-    """The terms of one side of canonical text, with nonzero coefficients
-    and strictly increasing exponents, integers if integral; else None."""
-    terms = []
-    for chunk in s.split(" + "):
-        m = _CANONICAL_TERM.fullmatch(chunk)
-        if m is None or integral and m[3] is None:
-            return None
-        cn, cd, e, en, ed = m.groups()
-        e = Fraction(int(e)) if e else Fraction(int(en), int(ed))
-        c = Fraction(int(cn), int(cd)) if cd else Fraction(int(cn))
-        if not c or terms and e <= terms[-1][0]:
-            return None
-        terms.append((e, c))
-    return tuple(terms)
-
-
-def _read_canonical(field: FieldDescriptor, s: str) -> FieldElement | None:
-    """The series element s writes in to_text's form, read in one pass; None
-    for other text, or when _proved_coprime cannot prove the form reduced."""
-    if s == "(0)":
-        return field.zero()
-    sides = s[1:-1].split(")/(")
-    if s[:1] != "(" or s[-1:] != ")" or len(sides) != 2:
-        return None
-    try:
-        num, den = (_read_terms(x, not field.dense_value_group) for x in sides)
-    except ValueError:  # digits past int's limit; the general route reports them
-        return None
-    if num is None or den is None or den[0] != _ONE_POLY[0]:
-        return None
-    if len(den) == 1:
-        den = _ONE_POLY
-    elif len(num) > 1 and not _proved_coprime(_pshift(num, -num[0][0]), den):
-        return None
-    return FieldElement(field, num, den)
-
-
 def parse_element(field: FieldDescriptor, s, path="element") -> FieldElement:
+    """Canonical series terms are built as they stand, once _proved_coprime
+    shows two sides of two or more terms reduced; other terms go to
+    from_terms."""
     if not isinstance(s, str):
         raise InstanceError(path, f"expected an element string, got {type(s).__name__}")
-    if field.is_series:
-        if (element := _read_canonical(field, s)) is not None:
-            return element
-        num_s, den_s = _split_fraction(s, path)
-        num = _parse_terms(num_s, path)
-        den = _parse_terms(den_s, path) if den_s is not None else [(0, 1)]
-        try:
-            return field.from_terms(num, den)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InstanceError(path, str(e))
-    return field.from_rational(parse_rational(s, path))
+    if not field.is_series:
+        return field.from_rational(parse_rational(s, path))
+    m = _SIDES_RE.fullmatch(s)
+    num_s, den_s = m.groups() if m else _split_fraction(s, path)
+    integral = not field.dense_value_group
+    try:
+        num, canonical = _read_terms(num_s, path, integral)
+        if den_s is None:
+            den = _ONE_POLY
+        else:
+            den, den_canonical = _read_terms(den_s, path, integral)
+            canonical = canonical and den_canonical and den[:1] == _ONE_POLY
+        if canonical:
+            if not num or len(den) == 1:
+                return FieldElement(field, num, _ONE_POLY)
+            if len(num) == 1 or _proved_coprime(_pshift(num, -num[0][0]), den):
+                return FieldElement(field, num, den)
+        return field.from_terms(num, den)
+    except InstanceError:
+        raise
+    except ZeroDivisionError:  # in a term's rational, or from_terms's
+        raise InstanceError(path, "zero denominator")
+    except ValueError as e:  # from_terms's exponents, or int's digit limit
+        raise InstanceError(path, str(e))
 
 
 def emit_element(e: FieldElement) -> str:

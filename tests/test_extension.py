@@ -37,7 +37,6 @@ from ultralip.extension import (
     extend_cell_risometry_line,
     extend_finite,
     extend_finite_line,
-    extend_finite_nd,
     extend_graph_family_via_reduction,
     glue_conditions_pointwise,
     glue_union,
@@ -643,14 +642,14 @@ def test_nd_three_dims():
         (pt(T.one(), t(1), T.zero()), T.zero()),
         (pt(T.one(), t(1), t(1)), t(1)),
     ))
-    F = extend_finite_nd(f)
+    F = extend_finite(f)
     line = extend_finite_line(ff1([(T.zero(), T.zero()), (t(1), t(1))]))
     for u in (T.one(), t(2), T.zero()):
         for w in (t(2), T.one(), t(1) + t(4)):
             assert F(pt(u, t(1), w)) == line(pt(w))
     # singleton in three variables extends constantly
     g = FiniteFunction(3, ((pt(t(1), T.one(), T.zero()), t(2)),))
-    G = extend_finite_nd(g)
+    G = extend_finite(g)
     assert G(pt(T.zero(), T.zero(), T.one())) == t(2)
 
 

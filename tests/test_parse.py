@@ -1,5 +1,6 @@
-"""The one-pass reader of canonical element text and its coprimality
-certificate, against the general parser it stands in front of."""
+"""The element reader, which builds canonical text directly once its
+coprimality certificate holds, against the parser that reduced every
+element by Euclid over Q."""
 
 import re
 import sys
@@ -18,7 +19,7 @@ PX = FieldDescriptor("puiseux")
 P3 = FieldDescriptor("p-adic", prime=3)
 
 
-# -- the general parser as it read every element before the one-pass route ----
+# -- the parser as it read every element before canonical text was built directly
 
 
 def _old_rational(s, path):
@@ -117,6 +118,16 @@ def _outcome(parse, fd, s):
     return x.num, x.den, x.den is field._ONE_POLY, x.rational
 
 
+def _read_counting_gcds(fd, s):
+    """The element s reads as, and how many Euclid runs over Q it took."""
+    runs = []
+    pgcd = field._pgcd_int
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_pgcd_int", lambda a, b: runs.append(1) or pgcd(a, b))
+        x = parse_element(fd, s)
+    return x, len(runs)
+
+
 def _same_as_old(fd, s):
     new = _outcome(parse_element, fd, s)
     assert new == _outcome(_old_parse, fd, s), s
@@ -161,13 +172,11 @@ elements = st.one_of(series(T), series(PX),
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(elements)
 def test_emitted_text_reads_back_identically(x):
-    text = x.to_text()
-    y = parse_element(x.field, text)
+    y, gcds = _read_counting_gcds(x.field, x.to_text())
     assert (y.num, y.den, y.rational) == (x.num, x.den, x.rational)
     assert y == x and hash(y) == hash(x)
+    assert gcds == 0  # emitted text is proven reduced without Euclid
     if x.field.is_series:
-        # emitted text never needs the general route
-        assert serialize._read_canonical(x.field, text) is not None
         assert (y.den is field._ONE_POLY) == (x.den is field._ONE_POLY)
 
 
@@ -194,6 +203,10 @@ NON_CANONICAL = [
     "(+1*t^1)/(1*t^0)", "(1*t^1_0)/(1*t^0)", "(1*t^1)/(1*t^0", "1*t^1)",
     "()", "", "(", ")", "(1*t^1)/()", "( )/(1*t^0)", "(1*t^1 + )/(1*t^0)",
     "(1*t^0 + 1*t^5000)/(1*t^0 + 1*t^1)",
+    # text that the one-regex split of the sides leaves to the depth loop
+    "(1*t^((1/2)))/(1*t^0)", "((1*t^1))", "(1*t^(1/2)))",
+    "(1*t^1)\t/(1*t^0)", "(1*t^1\n)/(1*t^0)", "\t(1*t^1)/(1*t^0)\n",
+    "(1*t^(1/2))/(1*t^0))", "(1*t^1)/((1*t^0))", "(1 2*t^1)/(1*t^0)",
 ]
 
 
@@ -203,19 +216,18 @@ def test_other_text_reads_as_the_general_parser_reads_it(fd):
         _same_as_old(fd, s)
 
 
-def test_digits_past_the_int_limit_fail_as_the_general_parser_fails():
+def test_digits_past_the_int_limit_fail_with_their_path():
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(4300)
     try:
-        big = "1" * 700
-        for s in (f"({big}*t^1)/(1*t^0)", f"(1*t^{big})/(1*t^0)",
-                  f"({big}*t^{big}2)/(1*t^0)", f"({big}*t^1 + (2)/(1*t^0)"):
-            with pytest.raises(ValueError) as new:
-                parse_element(T, s, "$.x")
-            with pytest.raises(ValueError) as old:
-                _old_parse(T, s, "$.x")
-            assert (type(new.value), str(new.value)) \
-                == (type(old.value), str(old.value))
+        big = "1" * 5001
+        for fd, s in ((T, f"({big}*t^1)/(1*t^0)"), (PX, f"(1*t^(1/{big}))"),
+                      (P3, big)):
+            with pytest.raises(InstanceError, match=r"^\$\.x: Exceeds the limit"):
+                parse_element(fd, s, "$.x")
+        with pytest.raises(InstanceError,
+                           match=r"^\$\.box\.ord: Exceeds the limit"):
+            serialize.parse_box(T, {"exact": {"ord": big}}, "$.box")
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -223,9 +235,9 @@ def test_digits_past_the_int_limit_fail_as_the_general_parser_fails():
 @st.composite
 def unreduced_texts(draw, fd):
     """numerator A*C over denominator B*C, written term by term in
-    to_text's layout, so that the one-pass grammar accepts it whether or
-    not C cancels; B and C have constant term 1, so the denominator starts
-    with 1*t^0."""
+    to_text's layout, so that the reader finds the terms canonical whether
+    or not C cancels; B and C have constant term 1, so the denominator
+    starts with 1*t^0."""
     exps = _exponents(fd, 3).filter(lambda e: e > 0)
 
     def poly(const):
@@ -307,7 +319,7 @@ def test_an_unlucky_prime_falls_back_and_reads_coprime():
     num, den = _poly((0, -1), (1, 1)), _poly((0, 1), (1, d))
     assert not _proved_coprime(num, den)
     text = f"(-1*t^0 + 1*t^1)/(1*t^0 + {d.numerator}/{d.denominator}*t^1)"
-    assert serialize._read_canonical(T, text) is None
+    assert _read_counting_gcds(T, text)[1] >= 1
     x = _same_as_old(T, text)
     assert x[:2] == (num, den)
 
