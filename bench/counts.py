@@ -75,6 +75,8 @@ ENTRIES = {
     "glue-vanishing-p-adic-3": "p-adic-3/vanishing-1.json",
     "unit-finite-plane": "t-adic/unit-finite-plane-0.json",
     "unit-finite-line": "puiseux/unit-finite-line-1.json",
+    # the corpus chain whose canonical forms meet non-constant gcds
+    "unit-finite-line-2": "t-adic/unit-finite-line-2.json",
     "generate-line-800": ["generate", "--profile", "finite-line", "--size", "800"],
     "generate-line-2000": ["generate", "--profile", "finite-line",
                            "--size", "2000"],
@@ -104,6 +106,7 @@ COUNTED = (
     "_canonical_fraction",
     "_cross_numerator",
     "_pgcd_int",
+    "_euclid_gcd",
     "BallTree.__init__",
     "BallTree._step",
 )

@@ -411,9 +411,8 @@ def _pdivmod_int(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return tuple(sorted(quo.items())), rem
 
 
-def _pgcd_int(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q of polynomials with nonnegative rational exponents
-    (in Q[t^(1/N)], as for _pdivmod_int)."""
+def _euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q by Euclid in Q[t^(1/N)]: _pgcd_int's fallback."""
     while b:
         _, r = _pdivmod_int(a, b)
         a, b = b, r
@@ -422,26 +421,26 @@ def _pgcd_int(a: Poly, b: Poly) -> Poly:
 
 _P = (1 << 61) - 1  # a Mersenne prime
 _IMAGE_CAP = 4096  # the most terms a dense image mod _P may have
+_RECONSTRUCTION_BOUND = math.isqrt(_P // 2)
 
 
-def _proved_coprime(a: Poly, b: Poly) -> bool:
-    """True when a and b, with nonnegative rational exponents, are proven
-    coprime over Q, False when unknown: scaled to integer coefficients,
-    their dense images in GF(_P)[u], u = t^(1/N), keep both leading
-    coefficients and have a constant gcd, so by Gauss's lemma they share
-    no factor over Q.  An image longer than _IMAGE_CAP is never built."""
+def _image_gcd(a: Poly, b: Poly) -> tuple[list[int], int] | None:
+    """The monic gcd, from degree 0 up, of the dense images in GF(_P)[u],
+    u = t^(1/N), of a and b scaled to integer coefficients, and N.  None if
+    an image would pass _IMAGE_CAP (it is never built) or _P divides a
+    leading coefficient; else the gcd over Q keeps its degree (Gauss)."""
     n = math.lcm(*(e.denominator for e, _ in a + b))
     if max(a[-1][0], b[-1][0]) * n >= _IMAGE_CAP:
-        return False
+        return None
     images = [[0] * (int(p[-1][0] * n) + 1) for p in (a, b)]
     for p, image in zip((a, b), images):
         scale = math.lcm(*(c.denominator for _, c in p))
         for e, c in p:
             image[int(e * n)] = c.numerator * (scale // c.denominator) % _P
         if not image[-1]:
-            return False
+            return None
     a, b = images
-    while len(b) > 1:  # Euclid over GF(_P), lists from degree 0 up
+    while len(b) > 1:  # Euclid over GF(_P)
         a, top, inv = a[:], len(b) - 1, pow(b[-1], -1, _P)
         for i in range(len(a) - 1, top - 1, -1):
             if q := a[i] * inv % _P:
@@ -450,7 +449,47 @@ def _proved_coprime(a: Poly, b: Poly) -> bool:
         a, b = b, a[:top]
         while len(b) > 1 and not b[-1]:
             b.pop()
-    return b[0] != 0
+    if b[0]:
+        return [1], n
+    inv = pow(a[-1], -1, _P)
+    return [c * inv % _P for c in a], n
+
+
+def _proved_coprime(a: Poly, b: Poly) -> bool:
+    """True when a constant image gcd proves a and b coprime over Q."""
+    image = _image_gcd(a, b)
+    return image is not None and len(image[0]) == 1
+
+
+def _reconstruct(c: int) -> Fraction | None:
+    """r/s = c mod _P with |r|, s <= the bound, if any (Wang et al.)."""
+    r0, r1, s0, s1 = _P, c, 0, 1
+    while r1 > _RECONSTRUCTION_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Q(r1, s1) if abs(s1) <= _RECONSTRUCTION_BOUND else None
+
+
+def _pgcd_int(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for the monic gcd g over Q of nonzero polynomials with
+    nonnegative rational exponents; g is _ONE_POLY when they are coprime.
+
+    Modular first (Brown): a candidate reconstructed from the image gcd has
+    at least g's degree, so it is g when it divides both; else Euclid."""
+    image = _image_gcd(a, b)
+    if image is not None:
+        coefficients, n = image
+        if len(coefficients) == 1:
+            return _ONE_POLY, a, b
+        g = tuple((Q(k, n), _reconstruct(c))
+                  for k, c in enumerate(coefficients) if c)
+        if all(c is not None for _, c in g):
+            (qa, ra), (qb, rb) = _pdivmod_int(a, g), _pdivmod_int(b, g)
+            if not ra and not rb:
+                return g, qa, qb
+    if (g := _euclid_gcd(a, b)) == _ONE_POLY:
+        return _ONE_POLY, a, b
+    return g, _pdivmod_int(a, g)[0], _pdivmod_int(b, g)[0]
 
 
 def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -468,12 +507,9 @@ def _canonical_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         num = _pshift(num, -d0)
     if len(num) > 1 and len(den) > 1:
         n0 = _ord(num)
-        nshift = _pshift(num, -n0)
-        g = _pgcd_int(nshift, den)
-        if len(g) > 1 or g[0][0] != 0:
-            nshift, _ = _pdivmod_int(nshift, g)
-            den, _ = _pdivmod_int(den, g)
-            num = _pshift(nshift, n0)
+        g, quotient, den = _pgcd_int(_pshift(num, -n0), den)
+        if g is not _ONE_POLY:
+            num = _pshift(quotient, n0)
     lead = den[0][1]
     if lead != 1:
         den = _pscale(den, 1 / lead)

@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import time
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -770,6 +771,25 @@ def test_arithmetic_commutes_with_evaluation_on_fixed_forms():
 # -- Euclid on rational exponents --------------------------------------------
 
 
+def _euclid_reference(a, b):
+    """Monic gcd over Q by Euclid's algorithm in Q[t^(1/N)]: the reference
+    for field._pgcd_int, sharing no code with the field."""
+    a, b = dict(a), dict(b)
+    while b:
+        db = max(b)
+        while a and (da := max(a)) >= db:
+            c = a[da] / b[db]
+            for e, k in b.items():
+                e += da - db
+                if s := a.get(e, 0) - c * k:
+                    a[e] = s
+                else:
+                    a.pop(e, None)
+        a, b = b, a
+    lead = a[max(a)]
+    return tuple(sorted((e, c / lead) for e, c in a.items()))
+
+
 def _canonical_fraction_scaled(num, den):
     """The reduction as it ran when Euclid saw integer exponents only: the
     exponents were scaled by the lcm N of their denominators, and the
@@ -793,7 +813,7 @@ def _canonical_fraction_scaled(num, den):
             dint = tuple((e * scale, c) for e, c in den)
         else:
             dint = den
-        g = field._pgcd_int(nshift, dint)
+        g = _euclid_reference(nshift, dint)
         if len(g) > 1 or g[0][0] != 0:
             nshift, _ = field._pdivmod_int(nshift, g)
             dint, _ = field._pdivmod_int(dint, g)
@@ -825,6 +845,95 @@ def test_euclid_on_rational_exponents_matches_the_scaled_route(n, d, c):
     num, den = field._pmul(n, c), field._pmul(d, c)
     assert field._canonical_fraction(num, den) \
         == _canonical_fraction_scaled(num, den)
+
+
+# -- the modular gcd ---------------------------------------------------------
+
+
+def _gcd_counting_fallbacks(a, b):
+    """_pgcd_int(a, b) and how many times it fell back to Euclid over Q."""
+    runs = []
+    euclid = field._euclid_gcd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_euclid_gcd",
+                   lambda p, q: runs.append(1) or euclid(p, q))
+        out = field._pgcd_int(a, b)
+    return out, len(runs)
+
+
+def _check_gcd(a, b):
+    """_pgcd_int(a, b) against the reference; the number of fallbacks."""
+    (g, qa, qb), fallbacks = _gcd_counting_fallbacks(a, b)
+    assert g == _euclid_reference(a, b)
+    assert field._pmul(g, qa) == a and field._pmul(g, qb) == b
+    if g == field._ONE_POLY:
+        assert g is field._ONE_POLY and (qa, qb) == (a, b)
+    return fallbacks
+
+
+def _lattice_poly(n):
+    """Nonzero polynomials with exponents in (1/n)Z, from 0 to 8."""
+    terms = st.tuples(st.builds(Q, st.integers(0, 8 * n), st.just(n)),
+                      st.builds(Q, st.integers(-9, 9), st.integers(1, 4)))
+    return st.lists(terms, min_size=1, max_size=4).map(
+        lambda ts: field._normalize_terms(PX, ts)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 6)).flatmap(
+    lambda n: st.tuples(_lattice_poly(n), _lattice_poly(n), _lattice_poly(n))))
+def test_modular_gcd_matches_euclid(abc):
+    # A*C and B*C share C, and often more; small coefficients never need
+    # the fallback
+    a, b, c = abc
+    assert _check_gcd(field._pmul(a, c), field._pmul(b, c)) == 0
+
+
+def _poly(*terms):
+    return tuple((Q(e), Q(c)) for e, c in terms)
+
+
+def test_an_unlucky_prime_falls_back_to_euclid():
+    # u - 1 and u - 1 - P are coprime over Q but equal mod P, so the image
+    # gcd u - 1 reconstructs, divides the first and not the second
+    a, b = _poly((0, -1), (1, 1)), _poly((0, -1 - field._P), (1, 1))
+    assert _check_gcd(a, b) == 1
+    assert field._pgcd_int(a, b)[0] is field._ONE_POLY
+
+
+def test_a_leading_coefficient_divisible_by_p_falls_back_to_euclid():
+    # (P*u + 1)(u + 2) and (P*u + 1)(u + 1): mod P the common factor is the
+    # constant 1, so the images would prove the wrong gcd
+    common = _poly((0, 1), (1, field._P))
+    a = field._pmul(common, _poly((0, 2), (1, 1)))
+    b = field._pmul(common, _poly((0, 1), (1, 1)))
+    assert _check_gcd(a, b) == 1
+    assert field._pgcd_int(a, b)[0] == _poly((0, Q(1, field._P)), (1, 1))
+
+
+def test_an_operand_over_the_image_cap_falls_back_without_building_it():
+    # images of degree 2 * 10^6 would take 16 MB; Euclid over Q takes two
+    # steps on these sparse forms
+    a, b = _poly((0, -1), (2 * 10 ** 6, 1)), _poly((0, -1), (10 ** 6, 1))
+    tracemalloc.start()
+    try:
+        assert _check_gcd(a, b) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert field._pgcd_int(a, b)[0] == b
+
+
+def test_a_gcd_coefficient_over_the_reconstruction_bound_falls_back():
+    big = 3 * 10 ** 9
+    assert big > field._RECONSTRUCTION_BOUND
+    for coefficient in (Q(big), Q(1, big), Q(big, 7)):
+        common = _poly((0, coefficient), (1, 1))
+        a = field._pmul(common, _poly((0, 1), (1, 1)))
+        b = field._pmul(common, _poly((0, 2), (1, 1)))
+        assert _check_gcd(a, b) == 1
+        assert field._pgcd_int(a, b)[0] == common
 
 
 # -- one p-adic valuation routine --------------------------------------------

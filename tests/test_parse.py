@@ -119,7 +119,7 @@ def _outcome(parse, fd, s):
 
 
 def _read_counting_gcds(fd, s):
-    """The element s reads as, and how many Euclid runs over Q it took."""
+    """The element s reads as, and how many polynomial gcds it ran."""
     runs = []
     pgcd = field._pgcd_int
     with pytest.MonkeyPatch.context() as mp:
@@ -175,7 +175,7 @@ def test_emitted_text_reads_back_identically(x):
     y, gcds = _read_counting_gcds(x.field, x.to_text())
     assert (y.num, y.den, y.rational) == (x.num, x.den, x.rational)
     assert y == x and hash(y) == hash(x)
-    assert gcds == 0  # emitted text is proven reduced without Euclid
+    assert gcds == 0  # emitted text is proven reduced without a gcd
     if x.field.is_series:
         assert (y.den is field._ONE_POLY) == (x.den is field._ONE_POLY)
 
