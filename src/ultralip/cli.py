@@ -518,22 +518,22 @@ def main(argv=None) -> int:
             except RuntimeError as e:  # no sound instance within its tries
                 print(f"generate gave up: {e}", file=sys.stderr)
                 return 2
-            _write_output(args.output, payload)
-            return 0
-
-        raw = _read_input(args.input)
-        if args.command == "verify":
-            report_in = json.loads(raw)
-            report = run_verify(report_in, args.seed, args.samples,
-                                window, epsilon)
+            code = 0
         else:
-            inst = parse_instance(raw)
-            if inst.task != args.command:
-                print(f"instance task {inst.task!r} does not match "
-                      f"command {args.command!r}", file=sys.stderr)
-                return 2
-            report = run_instance(inst, args.seed, args.samples,
-                                  window, epsilon)
+            raw = _read_input(args.input)
+            if args.command == "verify":
+                payload = run_verify(json.loads(raw), args.seed,
+                                     args.samples, window, epsilon)
+            else:
+                inst = parse_instance(raw)
+                if inst.task != args.command:
+                    print(f"instance task {inst.task!r} does not match "
+                          f"command {args.command!r}", file=sys.stderr)
+                    return 2
+                payload = run_instance(inst, args.seed, args.samples,
+                                       window, epsilon)
+            code = 0 if all(v["pass"] for v in payload["verdicts"]) else 1
+        _write_output(args.output, payload)
     except InstanceError as e:
         print(f"instance error: {e}", file=sys.stderr)
         return 2
@@ -543,9 +543,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
-
-    _write_output(args.output, report)
-    return 0 if all(v["pass"] for v in report["verdicts"]) else 1
+    return code
 
 
 if __name__ == "__main__":

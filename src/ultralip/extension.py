@@ -78,15 +78,10 @@ class _NearestAverage:
     The nearest-point set is a node of the ball tree, so each node's
     average is computed on first use and kept, keyed by the node; the
     p-divisible-count warning still fires on every evaluation.
-
-    With value_of given, data maps each key to what value_of turns into
-    its value, and value_of is called only for the keys of the nodes that
-    some query reaches.
     """
 
-    def __init__(self, data: dict, value_of: Callable | None = None):
+    def __init__(self, data: dict):
         self.values = list(data.values())
-        self.value_of = value_of
         self.tree = BallTree(list(data))
         self.averages: dict[Ball, FieldElement] = {}
 
@@ -96,10 +91,8 @@ class _NearestAverage:
         ball = self.tree.locate(x)[0]
         average = self.averages.get(ball)
         if average is None:
-            values = [self.values[i] for i in ball.members]
-            if self.value_of is not None:
-                values = [self.value_of(v) for v in values]
-            average = self.averages[ball] = sum_over_count(values)
+            average = self.averages[ball] = sum_over_count(
+                [self.values[i] for i in ball.members])
         warn_count(average.field, len(ball.members))
         return average
 
@@ -589,19 +582,23 @@ def origins(family: GraphFamily):
 def _fiberwise(family: GraphFamily, value_fn) -> ExtendedFunction:
     """x -> the average of value_fn(ci, bi, x1) over the branches bi of
     x1's base cell ci whose graph points phi_b(x1) are nearest to x2; zero
-    off the base cells.  The fiber is keyed by graph point; GraphFamily
-    refuses branches whose graphs meet inside a base cell, so the keys are
-    distinct, and value_fn runs only for the nearest branches."""
+    off the base cells.  A base cell has few branches, so one scan finds
+    the nearest ones: those whose difference exponent to x2 is the
+    largest.  GraphFamily refuses branches whose graphs meet inside a base
+    cell, so no two graph points coincide, and value_fn runs only for the
+    nearest branches, in branch order."""
     field = family.field
 
     def evaluate(x: Point) -> FieldElement:
         x1, x2 = x.coords
         for ci, cell in enumerate(family.base_cells):
             if cell.contains(x1):
-                fiber = {br.phi(x1): bi
-                         for bi, br in enumerate(family.branches[ci])}
-                return _NearestAverage(
-                    fiber, lambda bi: value_fn(ci, bi, x1))(x2)
+                exps = [x2.lead_of_difference(br.phi(x1))[0]
+                        for br in family.branches[ci]]
+                top = max(exps)
+                return integer_average([value_fn(ci, bi, x1)
+                                        for bi, e in enumerate(exps)
+                                        if e == top])
         return field.zero()
 
     return ExtendedFunction(2, field, "graph-fiberwise", evaluate,

@@ -870,14 +870,16 @@ def integer_average(values: Sequence[FieldElement]) -> FieldElement:
 def sum_over_count(values: Sequence[FieldElement]) -> FieldElement:
     """The sum of a nonempty sequence scaled by 1/len, with no warning.
 
-    When every value has one series denominator D, the numerators are
-    added in one dict (one lookup per term) and the sum over D is reduced
-    once, not once per addition.  Any other mix of denominators is folded
-    with `+`.
+    A single value is its own average.  When every value has one series
+    denominator D, the numerators are added in one dict (one lookup per
+    term) and the sum over D is reduced once, not once per addition.  Any
+    other mix of denominators is folded with `+`.
     """
     first = values[0]
+    if len(values) == 1:
+        return first
     den = first.den
-    if den is None or len(values) == 1 or any(
+    if den is None or any(
             v.den is not den and v.den != den for v in values):
         total = first
         for v in values[1:]:

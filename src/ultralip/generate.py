@@ -33,12 +33,12 @@ _FINITE = {"finite-line": (1, 8), "finite-plane": (2, 6), "finite-nd": (3, 5)}
 
 
 def random_element(rng: random.Random, field: FieldDescriptor,
-                   window: tuple[int, int], terms: int = 2,
-                   allow_zero: bool = True) -> FieldElement:
+                   window: tuple[int, int]) -> FieldElement:
+    """Zero one time in ten, else one or two terms in the window."""
     lo, hi = window
-    if allow_zero and rng.random() < 0.1:
+    if rng.random() < 0.1:
         return field.zero()
-    k = rng.randint(1, terms)
+    k = rng.randint(1, 2)
     if field.is_series:
         pool = list(range(lo, hi + 1))
         exps = rng.sample(pool, min(k, len(pool)))

@@ -238,20 +238,13 @@ def rho(cell: Cell1D) -> CutValue:
     return min(_box_min_cut(b) for b in cell.boxes)
 
 
-def cell_member(cell: Cell1D, box_index: int = 0,
-                perturb: FieldElement | None = None) -> FieldElement:
+def cell_member(cell: Cell1D, box_index: int = 0) -> FieldElement:
     """A concrete member of the cell from the given box."""
     field = cell.field
     rv0 = box_representative_rv(cell.boxes[box_index], field)
     if rv0.is_zero:
-        base = cell.center
-    else:
-        base = cell.center + field.monomial(rv0.exponent, rv0.unit)
-    if perturb is not None:
-        candidate = base + perturb
-        if cell.contains(candidate):
-            return candidate
-    return base
+        return cell.center
+    return cell.center + field.monomial(rv0.exponent, rv0.unit)
 
 
 # ---------------------------------------------------------------------------

@@ -300,11 +300,13 @@ def test_criterion_4_skeletons():
                     failures.append((seed, "skeleton-meets-family", p))
         # re-attachment preserves member sets on probes
         for (cell, _), moved in zip(skel.attachments, skel.recentered):
-            probes = [cell_member(cell, bi) for bi in range(len(cell.boxes))]
-            probes += [cell_member(moved, bi) for bi in range(len(moved.boxes))]
+            members = [cell_member(cell, bi) for bi in range(len(cell.boxes))]
+            probes = members + [cell_member(moved, bi)
+                                for bi in range(len(moved.boxes))]
             probes += list(pts)
-            probes += [cell_member(cell, bi, perturb=T.monomial(8, 3))
-                       for bi in range(len(cell.boxes))]
+            for m in members:  # nudged inside the cell where that stays in it
+                nudged = m + T.monomial(8, 3)
+                probes.append(nudged if cell.contains(nudged) else m)
             for x in probes:
                 if cell.contains(x) != moved.contains(x):
                     failures.append((seed, "member-set", x))

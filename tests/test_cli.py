@@ -258,6 +258,20 @@ def test_cli_detects_corruption(tmp_path):
     assert "witness" in bad[0]
 
 
+@pytest.mark.parametrize("command", ["extend-finite", "verify"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, command):
+    rc, report_path = _report(tmp_path, generate(2, "finite-line"),
+                              "extend-finite")
+    assert rc == 0
+    source = report_path if command == "verify" else str(tmp_path / "inst.json")
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    assert main([command, "-i", source, "-o", str(missing / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_cli_epsilon_flag(tmp_path):
     inst_path = str(tmp_path / "i.json")
     main(["generate", "--seed", "2", "--profile", "finite-line", "-o", inst_path])

@@ -719,8 +719,7 @@ class _LastMember(_NearestAverage):
     """A wrong nearest average: the value of the nearest set's last key."""
 
     def __call__(self, x):
-        value = self.values[self.tree.locate(x)[0].members[-1]]
-        return value if self.value_of is None else self.value_of(value)
+        return self.values[self.tree.locate(x)[0].members[-1]]
 
 
 def test_cell_reference_sees_the_skeleton_average(monkeypatch):
@@ -903,6 +902,35 @@ def test_lazy_fibers_match_the_eager_reference(monkeypatch, field):
         warned += lazy[1]
     # on p-adic 3 the warning counts compared are not all zero
     assert (warned > 0) == (field is P3)
+
+
+@pytest.mark.parametrize("field", [T, PX, P3],
+                         ids=["t-adic", "puiseux", "p-adic 3"])
+def test_graph_evaluation_builds_no_tree(monkeypatch, field):
+    # each fiber's nearest branches come from one scan of its graph points;
+    # the ladder of the origin values builds its pieces' trees on first
+    # use, so the second pass over the samples must build none
+    builds = 0
+    init = BallTree.__init__
+
+    def counted(self, keys):
+        nonlocal builds
+        builds += 1
+        init(self, keys)
+
+    family = generate_instance(1, "graphs", field).family
+    F = extend_graph_family_via_reduction(family)
+    samples = _graph_samples(family, 1)
+    assert any(c.contains(x.coords[0])
+               for x in samples for c in family.base_cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p-adic averages over 3 points
+        for x in samples:
+            F(x)
+        monkeypatch.setattr(BallTree, "__init__", counted)
+        for x in samples:
+            F(x)
+    assert builds == 0
 
 
 def test_fiber_values_run_only_for_the_nearest_branches():

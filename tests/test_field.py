@@ -216,6 +216,14 @@ def test_average_empty():
         integer_average([])
 
 
+@pytest.mark.parametrize("fd", [T, PX, P3], ids=["t-adic", "puiseux", "p-adic 3"])
+def test_a_lone_value_is_its_own_average(fd):
+    for v in (fd.zero(), fd.from_int(5),
+              fd.monomial(-2, 7) / (fd.one() + fd.monomial(1))):
+        assert sum_over_count([v]) is v
+        assert integer_average([v]) is v
+
+
 # -- property tests ----------------------------------------------------------
 
 

@@ -163,9 +163,10 @@ def test_recenter_error_when_too_far():
 def _members(cell, extra=()):
     out = []
     for i in range(len(cell.boxes)):
-        out.append(cell_member(cell, i))
+        m = cell_member(cell, i)
+        out.append(m)
         for p in extra:
-            out.append(cell_member(cell, i, perturb=p))
+            out.append(m + p if cell.contains(m + p) else m)
     return [m for m in out if cell.contains(m)]
 
 
