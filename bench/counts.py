@@ -10,7 +10,10 @@ with PYTHONHASHSEED=0, so that no set order and no cache left by an
 earlier entry can move a count.  Generated entries are t-adic at seed 1;
 the others are instances of the golden corpus.  The `generate-*` entries
 count the `generate --seed 1` command alone, and the `parse-*` entries
-one `parse_instance` of their instance alone, from its loaded JSON.
+one `parse_instance` of their instance alone, from its loaded JSON.  The
+`field-*` and `nod-*` entries count one field operation over fixed,
+seeded operand pairs, on t-adic and on puiseux: `+`, `*` and `/`, and
+`norm_of_difference` over one denominator and across denominators.
 Every entry imports the package before its profile starts; the `import`
 entry counts that first `import ultralip.cli` alone, and records no CPU
 time, since only the first import in a process does the work.
@@ -40,8 +43,10 @@ import fractions
 import importlib
 import io
 import json
+import operator
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
@@ -58,7 +63,8 @@ TOLERANCE = 0.02
 # name -> (profile, size) for `generate --seed 1`, or a golden instance,
 # whose chain is counted; ["generate", flags...] counted alone;
 # {"parse": either instance form}, whose parse_instance is counted alone;
-# or {"import": module}, whose first import is counted alone
+# {"field": (backend, operation[, pairs])}, see _field_pairs; or
+# {"import": module}, whose first import is counted alone
 ENTRIES = {
     "line-50": ("finite-line", 50),
     "line-200": ("finite-line", 200),
@@ -88,6 +94,11 @@ ENTRIES = {
                                    "--prime", "3"],
     "parse-line-800": {"parse": ("finite-line", 800)},
     "parse-unit-finite-plane": {"parse": "t-adic/unit-finite-plane-0.json"},
+    **{f"field-{name}-{kind}": {"field": (kind, op)}
+       for kind in ("t-adic", "puiseux")
+       for name, op in (("add", "+"), ("mul", "*"), ("div", "/"))},
+    **{f"nod-{pairs}-den-{kind}": {"field": (kind, "nod", pairs)}
+       for kind in ("t-adic", "puiseux") for pairs in ("one", "cross")},
     "import": {"import": "ultralip.cli"},
 }
 
@@ -95,6 +106,7 @@ ENTRIES = {
 # in the standard fractions module
 COUNTED = (
     "Fraction.__eq__",
+    "Fraction.__lt__",
     "Fraction.__hash__",
     "FieldElement.__hash__",
     "FieldElement.norm_of_difference",
@@ -145,6 +157,42 @@ def _parse(data: dict, tmp: str) -> None:
     parse_instance(data)
 
 
+def _field_pairs(kind: str, op: str, pairs: str = "all") -> tuple:
+    """The function and the ordered operand pairs of a field entry.
+
+    The operands are 16 seeded Laurent polynomials of one to three terms,
+    with exponents in -8..8 (halved on puiseux) and coefficients in
+    +-1..3, and 16 more such polynomials divided by 1 + t (by 1 + t^(1/2)
+    on puiseux), the unit that maps the rational-forms data.  The pairs
+    are all ordered pairs of them, or, with pairs "one" or "cross", those
+    whose denominators are equal or differ.
+    """
+    from ultralip.field import FieldDescriptor, FieldElement, Q
+
+    field = FieldDescriptor(kind)
+    step = Q(1, 2) if kind == "puiseux" else 1
+    rng = random.Random(1)
+
+    def poly():
+        exponents = rng.sample(range(-8, 9), rng.randint(1, 3))
+        return field.from_terms([(e * step, rng.choice((-3, -2, -1, 1, 2, 3)))
+                                 for e in exponents])
+
+    unit = field.from_terms([(0, 1), (step, 1)])
+    operands = [poly() for _ in range(16)] + [poly() / unit for _ in range(16)]
+    fn = {"+": operator.add, "*": operator.mul, "/": operator.truediv,
+          "nod": FieldElement.norm_of_difference}[op]
+    return fn, [(a, b) for a in operands for b in operands
+                if pairs == "all" or (a.den == b.den) == (pairs == "one")]
+
+
+def _field_ops(arg: tuple, tmp: str) -> None:
+    """One field operation on every pair of _field_pairs."""
+    fn, pairs = arg
+    for a, b in pairs:
+        fn(a, b)
+
+
 def _chain(inst: str, tmp: str) -> None:
     """The construction command on inst, then verify on its report; both
     must pass, since a command that stops early makes fewer calls."""
@@ -187,6 +235,8 @@ def measure(name: str, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(spec, list):
             work, arg = _generate, spec
+        elif isinstance(spec, dict) and "field" in spec:
+            work, arg = _field_ops, _field_pairs(*spec["field"])
         elif isinstance(spec, dict):
             with open(_instance(spec["parse"], tmp)) as fh:
                 work, arg = _parse, json.load(fh)

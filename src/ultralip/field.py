@@ -89,7 +89,9 @@ def _is_prime(n: int) -> bool:
 class NormValue:
     """A multiplicative norm: zero, or theta(exponent) with reversed order."""
 
-    exponent: Fraction | None = None  # None encodes the zero norm
+    # None encodes the zero norm; the norms of t-adic and p-adic elements
+    # carry ints, their value group being Z
+    exponent: Fraction | int | None = None
 
     @staticmethod
     def zero() -> "NormValue":
@@ -190,7 +192,7 @@ class RVValue:
     that rv(x) = rv(y) iff |x - y| < |x| holds structurally.
     """
 
-    exponent: Fraction | None
+    exponent: Fraction | int | None  # as NormValue.exponent
     unit: Fraction | None
     prime: int | None = None
 
@@ -240,12 +242,15 @@ def _padic_residue(u: Fraction, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Field descriptors and elements
 
-# A generalized polynomial is a tuple of (exponent, coefficient) pairs with
-# Fraction entries, sorted by exponent, all coefficients nonzero.
-Poly = tuple[tuple[Fraction, Fraction], ...]
+# A generalized polynomial is a tuple of (exponent, coefficient) pairs,
+# sorted by exponent, all coefficients nonzero Fractions.  Exponents are ints
+# on t-adic; on puiseux they are Fractions, except the int 0 of constants and
+# of the unit denominator (a Fraction and an int of one value compare and
+# hash alike, so neither equality nor hashing sees the difference).
+Poly = tuple[tuple[Fraction | int, Fraction], ...]
 
 _ZERO = Q(0)
-_ONE_POLY: Poly = ((_ZERO, Q(1)),)
+_ONE_POLY: Poly = ((0, Q(1)),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,10 +285,18 @@ class FieldDescriptor:
     def dense_value_group(self) -> bool:
         return self.kind == PUISEUX
 
-    def check_exponent(self, e: Fraction) -> Fraction:
-        if self.kind == T_ADIC and e.denominator != 1:
+    def check_exponent(self, e) -> Fraction | int:
+        """An int or Fraction exponent as stored: an int on t-adic, whose
+        value group is Z (ValueError if e is not an integer), else a
+        Fraction."""
+        if self.kind != T_ADIC:
+            return _as_fraction(e)
+        if isinstance(e, int):
+            return e
+        e = _as_fraction(e)
+        if e.denominator != 1:
             raise ValueError(f"t-adic exponents must be integers, got {e}")
-        return e
+        return e.numerator
 
     # -- element constructors ------------------------------------------------
 
@@ -298,7 +311,7 @@ class FieldDescriptor:
     def from_rational(self, q) -> "FieldElement":
         q = _as_fraction(q)
         if self.is_series:
-            num = () if q == 0 else ((Q(0), q),)
+            num = () if q == 0 else ((0, q),)
             return FieldElement(self, num, _ONE_POLY)
         return FieldElement(self, rational=q)
 
@@ -307,7 +320,7 @@ class FieldDescriptor:
 
     def monomial(self, exponent, coefficient=1) -> "FieldElement":
         """c * t^e for series backends, c * p^e for the p-adic backend."""
-        e = self.check_exponent(_as_fraction(exponent))
+        e = self.check_exponent(exponent)
         c = _as_fraction(coefficient)
         if self.is_series:
             num = () if c == 0 else ((e, c),)
@@ -331,7 +344,7 @@ class FieldDescriptor:
 def _normalize_terms(field: FieldDescriptor, terms) -> Poly:
     acc: dict[Fraction, Fraction] = {}
     for e, c in terms:
-        e = field.check_exponent(_as_fraction(e))
+        e = field.check_exponent(e)
         c = _as_fraction(c)
         if c == 0:
             continue
@@ -340,7 +353,7 @@ def _normalize_terms(field: FieldDescriptor, terms) -> Poly:
     return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
 
-# -- polynomial helpers (sparse, Fraction exponents) ------------------------
+# -- polynomial helpers (sparse, exponents as in Poly) ----------------------
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
@@ -481,7 +494,7 @@ def _pgcd_int(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         coefficients, n = image
         if len(coefficients) == 1:
             return _ONE_POLY, a, b
-        g = tuple((Q(k, n), _reconstruct(c))
+        g = tuple((k if n == 1 else Q(k, n), _reconstruct(c))
                   for k, c in enumerate(coefficients) if c)
         if all(c is not None for _, c in g):
             (qa, ra), (qb, rb) = _pdivmod_int(a, g), _pdivmod_int(b, g)
@@ -663,7 +676,7 @@ class FieldElement:
             return NormValue.zero()
         if self.field.is_series:
             return NormValue(_ord(self.num))  # den has order 0
-        return NormValue(Q(_padic_lead(self.rational, self.field.prime)[0]))
+        return NormValue(_padic_lead(self.rational, self.field.prime)[0])
 
     def rv(self) -> RVValue:
         if self.is_zero:
@@ -673,7 +686,7 @@ class FieldElement:
             # den is canonical with constant coefficient 1
             return RVValue(_ord(self.num), self.num[0][1])
         v, digit = _padic_lead(self.rational, f.prime)
-        return RVValue(Q(v), Q(digit), f.prime)
+        return RVValue(v, Q(digit), f.prime)
 
     def norm_of_difference(self, other: "FieldElement") -> NormValue:
         """|self - other|, with a scan that avoids building the difference:
@@ -683,7 +696,7 @@ class FieldElement:
         f = self.field
         if not f.is_series:
             d = self.rational - other.rational
-            return NormValue(Q(_padic_lead(d, f.prime)[0])) if d \
+            return NormValue(_padic_lead(d, f.prime)[0]) if d \
                 else NormValue.zero()
         if self.den is other.den or self.den == other.den:
             got = _first_diff_term(self.num, other.num)
@@ -699,7 +712,9 @@ class FieldElement:
         on the p-adic backend, so two differences with one exponent e have
         the same residue iff they differ by an element of norm below
         theta(e).  Integral values come as ints, which compare and hash
-        faster than Fractions.  Same-denominator operands take the
+        faster than Fractions: the exponent always on t-adic and p-adic,
+        where it is stored as one, and the puiseux exponent and the residue
+        when whole.  Same-denominator operands take the
         norm_of_difference term scan.  Operands with different
         denominators take _cross_difference_term: the two numerators'
         leading terms decide it unless they are equal, and only then is

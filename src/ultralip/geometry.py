@@ -84,7 +84,7 @@ def realizable_exponent_between(lower: CutValue, upper: CutValue,
         return qu
     if lower.attained:
         return ql
-    return (qu + ql) / 2
+    return Q(qu + ql, 2)
 
 
 def _norms_meet(field: FieldDescriptor, lowers, uppers) -> Fraction | None:

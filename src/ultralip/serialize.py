@@ -76,10 +76,12 @@ _ONE = Fraction(1)
 def _read_terms(s: str, path: str, integral: bool) -> tuple[tuple, bool]:
     """The (exponent, coefficient) terms of one side, as written, and
     whether they are canonical: nonzero coefficients, strictly increasing
-    exponents, and no parenthesised exponent if integral."""
+    exponents, and no parenthesised exponent if integral.  Exponents are
+    Fractions, except unparenthesised ones if integral, which are ints."""
     s = s.strip().replace(" ", "")
     if s in ("", "0"):
         return (), True
+    zero, one = (0, 1) if integral else (_ZERO, _ONE)
     terms = []
     canonical = True
     for chunk in s.split("+"):
@@ -96,11 +98,13 @@ def _read_terms(s: str, path: str, integral: bool) -> tuple[tuple, bool]:
         else:
             c = Fraction(int(cn), int(cd))
         if t is None:
-            e = _ZERO
+            e = zero
         elif en is not None:
             e = Fraction(int(en), int(ed))
+        elif e is None:
+            e = one
         else:
-            e = _ONE if e is None else Fraction(int(e))
+            e = int(e) if integral else Fraction(int(e))
         if not c or terms and e <= terms[-1][0] or integral and en is not None:
             canonical = False
         terms.append((e, c))

@@ -972,3 +972,72 @@ def test_padic_norm_and_rv_match_the_division_formulas(p, x, y, k):
     assert a.rv() == RVValue(Q(v), q / Q(p) ** v, p)
     want = ZERO if q == y else theta(_valuation_by_division(q - y, p))
     assert a.norm_of_difference(b) == want
+
+
+# -- stored types --------------------------------------------------------------
+
+
+def _assert_poly_types(p, fd):
+    """Exponents are ints on t-adic, ints or Fractions on puiseux;
+    coefficients are Fractions."""
+    for e, c in p:
+        assert type(e) is int if fd is T else type(e) in (int, Q), (e, p)
+        assert type(c) is Q, (c, p)
+
+
+def _assert_value_types(x, y):
+    """x's terms as _assert_poly_types has them, and the exponents of
+    x.norm(), x.rv(), |x - y| and x.lead_of_difference(y) ints on t-adic
+    and p-adic; no exponent or coefficient is a float, and math.inf stands
+    only for a zero difference."""
+    fd = x.field
+    if fd.is_series:
+        _assert_poly_types(x.num + x.den, fd)
+    else:
+        assert type(x.rational) is Q
+    lead, residue = x.lead_of_difference(y)
+    assert (lead is math.inf) == (x == y)
+    exps = [x.norm().exponent, x.rv().exponent,
+            x.norm_of_difference(y).exponent] + ([] if x == y else [lead])
+    for e in exps:
+        assert e is None or (type(e) is int if fd is not PX
+                             else type(e) in (int, Q)), (e, x)
+    assert type(x.rv().unit) in (type(None), Q)
+    assert type(residue) in (type(None), int, Q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from((T, PX, P3)))
+def test_integral_value_groups_keep_int_exponents(data, fd):
+    if fd is P3:
+        a, b = (fd.from_rational(data.draw(rationals)) for _ in range(2))
+        built = [fd.monomial(data.draw(exponents), data.draw(coeffs))]
+        parsed = [parse_element(fd, a.to_text())]
+        values = [a, b]
+    else:
+        a = data.draw(series_elements(fd, max_dens=1, top=6))
+        b = data.draw(partners(fd, a))
+        # integral exponents written as fractions, which only from_terms
+        # reduces, and in any order
+        terms = data.draw(st.lists(st.tuples(exponents, coeffs), max_size=3))
+        text = "(" + " + ".join(f"{c.numerator}/{c.denominator}*t^({2 * e}/2)"
+                                for e, c in terms) + ")"
+        built = [fd.from_terms(terms), fd.monomial(data.draw(exponents)),
+                 fd.monomial(Q(2 * data.draw(exponents), 2), Q(3))]
+        parsed = [parse_element(fd, text), parse_element(fd, "(1*t^(4/2))"),
+                  parse_element(fd, a.to_text())]
+        values = data.draw(shared_denominator_values(fd, top=3))
+    q = data.draw(coeffs)
+    results = [a + b, a - b, a * b, a.scale(q), sum_over_count(values),
+               sum_over_count([a, b])] + ([a / b] if b else [])
+    for x in [a, b, *built, *parsed, *results]:
+        _assert_value_types(x, a)
+        _assert_value_types(a, x)
+    if fd is not P3:
+        # _pgcd_int's gcd and quotients, on operands sharing a unit factor
+        factor = fd.from_terms(data.draw(st.sampled_from(UNIT_DENOMINATORS[fd])))
+        ps = [data.draw(laurent_polys(fd, top=6).filter(bool)) * factor
+              for _ in range(2)]
+        for p in field._pgcd_int(*(field._pshift(p.num, -p.num[0][0])
+                                   for p in ps)):
+            _assert_poly_types(p, fd)

@@ -215,6 +215,10 @@ def test_realizable_exponents_discrete_vs_dense():
     assert realizable_exponent_between(cut(2, False), cut(2, False), T) is None
     e = realizable_exponent_between(cut(2, False), cut(1, False), PX)
     assert e is not None and Q(1) < e < Q(2)
+    # int exponents, as the norms of t-adic and p-adic elements carry
+    e = realizable_exponent_between(CutValue(NormValue(2), False),
+                                    CutValue(NormValue(1), False), PX)
+    assert e == Q(3, 2) and isinstance(e, Q)
 
 
 # -- balls ------------------------------------------------------------------------
